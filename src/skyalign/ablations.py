@@ -12,7 +12,7 @@ from .dataset import CrossViewDataset
 from .model import ModelParams, encode
 from .objectives import MODE_CLASSIFICATION, MODE_NONE
 from .pose_geometry import PoseRecord
-from .retrieval_eval import EmbeddingSet, metrics_from_rankings, top_k
+from .retrieval_eval import EmbeddingSet, evaluate
 from .trainer import TrainConfig, train
 
 BINS_NONE = "none"
@@ -32,12 +32,8 @@ def drone2sat_metrics(params: ModelParams, dataset: CrossViewDataset,
         did: {dataset.sat_view_ids[dataset.drone_building_idx[i]]}
         for i, did in enumerate(dataset.drone_view_ids)
     }
-    rankings = top_k(gallery, queries, len(gallery.ids))
-    rows = metrics_from_rankings(rankings, relevance, ks)
-    out = {}
-    for metric, k, value in rows:
-        out[f"recall@{k}" if metric == "recall" else "ap"] = value
-    return out
+    return {f"recall@{k}" if metric == "recall" else "ap": value
+            for metric, k, value in evaluate(queries, gallery, relevance, ks)}
 
 
 def train_and_score(cfg: TrainConfig, dataset: CrossViewDataset) -> dict[str, float]:

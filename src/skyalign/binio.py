@@ -15,6 +15,8 @@ byte-length prefix.  Vector payloads are float32.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -37,9 +39,19 @@ def _read_exact(fh, n: int, path, what: str) -> bytes:
     return buf
 
 
+def _check_room(fh, n: int, path, what: str) -> None:
+    """Fail before allocating when the header asks for more bytes than are left."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise FormatError(f"{path}: truncated: {what} needs {n} bytes, {left} remain")
+
+
 def _read_id(fh, path) -> str:
     (length,) = struct.unpack("<H", _read_exact(fh, 2, path, "id length"))
-    return _read_exact(fh, length, path, "id bytes").decode("utf-8")
+    try:
+        return _read_exact(fh, length, path, "id bytes").decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: id is not valid UTF-8") from None
 
 
 def _write_id(fh, ident: str) -> None:
@@ -83,6 +95,8 @@ def read_features(path):
     with open(path, "rb") as fh:
         _check_magic(fh, FEA_MAGIC, path)
         n, dim = struct.unpack("<II", _read_exact(fh, 8, path, "header"))
+        # a record is at least an id length, a kind, the vector, an azimuth and a flag
+        _check_room(fh, n * (8 + 4 * dim), path, f"{n} records of dim {dim}")
         ids = []
         kinds = np.empty(n, dtype=np.uint8)
         vectors = np.empty((n, dim), dtype=np.float32)
@@ -124,6 +138,7 @@ def read_embeddings(path):
     with open(path, "rb") as fh:
         _check_magic(fh, EMB_MAGIC, path)
         n, dim = struct.unpack("<II", _read_exact(fh, 8, path, "header"))
+        _check_room(fh, n * (4 * dim + 2), path, f"{n} rows of dim {dim} and their ids")
         raw = _read_exact(fh, 4 * n * dim, path, "matrix")
         matrix = np.frombuffer(raw, dtype="<f4").reshape(n, dim).copy()
         ids = [_read_id(fh, path) for _ in range(n)]
@@ -155,9 +170,11 @@ def read_checkpoint(path, shapes_of):
         if version != CKP_VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
         dims = struct.unpack("<IIII", _read_exact(fh, 16, path, "dims"))
+        shapes = shapes_of(dims)
+        _check_room(fh, 4 * (sum(map(math.prod, shapes)) + 1), path, f"dims {dims}")
         arrays = []
-        for shape in shapes_of(dims):
-            count = int(np.prod(shape))
+        for shape in shapes:
+            count = math.prod(shape)
             raw = _read_exact(fh, 4 * count, path, f"array {shape}")
             arrays.append(np.frombuffer(raw, dtype="<f4").reshape(shape).copy())
         (tau,) = struct.unpack("<f", _read_exact(fh, 4, path, "temperature"))

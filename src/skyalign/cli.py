@@ -29,11 +29,10 @@ from .retrieval_eval import (
     FUSION_RECIPROCAL_RANK,
     FUSION_SCORE_MEAN,
     ScoreTable,
-    ensemble,
-    metrics_from_rankings,
+    fuse,
     read_relevance,
     score_table,
-    top_k,
+    table_metrics,
     truncate_dim,
     write_metrics,
     write_relevance,
@@ -81,13 +80,6 @@ def _env_int(name: str):
 def _seed_override(args) -> dict:
     seed = args.seed if args.seed is not None else _env_int("SEED")
     return {"seed": seed}
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = _env_int("THREADS")
-    return env if env is not None else 1
 
 
 def cmd_gen_data(args) -> None:
@@ -157,11 +149,11 @@ def cmd_eval(args) -> None:
     gallery, queries = _load_query_gallery(args)
     relevance = read_relevance(_require_file(args.relevance))
     ks = _int_list(args.k)
-    rankings = top_k(gallery, queries, len(gallery.ids), workers=_threads(args))
-    rows = metrics_from_rankings(rankings, relevance, ks)
+    table = score_table(gallery, queries)
+    rows = table_metrics(table, relevance, ks)
     write_metrics(rows, args.out)
     if args.dump_scores:
-        score_table(gallery, queries).save(args.dump_scores)
+        table.save(args.dump_scores)
     for metric, k, value in rows:
         label = f"{metric}@{k}" if k else metric
         print(f"{label} = {value:.4f}")
@@ -176,8 +168,7 @@ def cmd_ensemble(args) -> None:
     if weights is not None and len(weights) != len(tables):
         raise ConfigError(f"{len(weights)} weights for {len(tables)} score tables")
     relevance = read_relevance(_require_file(args.relevance))
-    rankings = ensemble(tables, weights, args.fusion)
-    rows = metrics_from_rankings(rankings, relevance, _int_list(args.k))
+    rows = table_metrics(fuse(tables, weights, args.fusion), relevance, _int_list(args.k))
     write_metrics(rows, args.out)
     for metric, k, value in rows:
         label = f"{metric}@{k}" if k else metric
@@ -234,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    shared.add_argument("--threads", type=int, default=None,
-                        help="worker threads for retrieval (default 1)")
 
     parser = argparse.ArgumentParser(
         prog="skyalign",

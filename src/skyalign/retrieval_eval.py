@@ -62,6 +62,9 @@ class EmbeddingSet:
 
 def _renormalize(matrix: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(matrix.astype(np.float64), axis=1, keepdims=True)
+    if not np.isfinite(norms).all():
+        row = int(np.argmin(np.isfinite(norms)))
+        raise NormDegenerate(f"embedding row {row} is not finite")
     if matrix.shape[0] and norms.min() < 1e-12:
         row = int(np.argmin(norms))
         raise NormDegenerate(f"embedding row {row} has norm {norms.min():.3e}")
@@ -219,8 +222,15 @@ class ScoreTable:
             for lineno, rec in enumerate(reader, start=2):
                 if len(rec) != len(header):
                     raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
+                try:
+                    rows.append([float(v) for v in rec[1:]])
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: score is not a number") from None
+                if not np.isfinite(rows[-1]).all():
+                    raise DataError(f"{path}:{lineno}: score is not finite")
                 query_ids.append(rec[0])
-                rows.append([float(v) for v in rec[1:]])
+        if len(set(query_ids)) < len(query_ids) or len(set(gallery_ids)) < len(gallery_ids):
+            raise DataError(f"{path}: duplicate query or gallery ids")
         return cls(query_ids, gallery_ids, np.array(rows))
 
 
@@ -248,9 +258,9 @@ def _rank_matrix(scores: np.ndarray) -> np.ndarray:
     return ranks + 1
 
 
-def ensemble(tables: list[ScoreTable], weights: list[float] | None = None,
-             fusion: str = FUSION_SCORE_MEAN) -> list[RankedList]:
-    """Fuse per-model score tables into one ranking per query.
+def fuse(tables: list[ScoreTable], weights: list[float] | None = None,
+         fusion: str = FUSION_SCORE_MEAN) -> ScoreTable:
+    """Fuse per-model score tables into one, gallery columns in id order.
 
     score-mean averages the raw scores (weighted); reciprocal-rank sums
     w/(60+rank).  All tables must cover identical query and gallery id
@@ -282,15 +292,16 @@ def ensemble(tables: list[ScoreTable], weights: list[float] | None = None,
             fused += w / (_RRF_OFFSET + _rank_matrix(aligned))
         else:
             raise ValueError(f"unknown fusion {fusion!r}")
-    order = np.argsort(-fused, axis=1, kind="stable")
-    out = []
-    for i, qid in enumerate(qids):
-        out.append(RankedList(
-            query_id=qid,
-            gallery_ids=[gids[j] for j in order[i]],
-            scores=fused[i, order[i]].copy(),
-        ))
-    return out
+    return ScoreTable(list(qids), gids, fused)
+
+
+def ensemble(tables: list[ScoreTable], weights: list[float] | None = None,
+             fusion: str = FUSION_SCORE_MEAN) -> list[RankedList]:
+    """One full ranking per query by the scores of fuse."""
+    fused = fuse(tables, weights, fusion)
+    order = np.argsort(-fused.scores, axis=1, kind="stable")
+    return [RankedList(qid, [fused.gallery_ids[j] for j in o], row[o].copy())
+            for qid, row, o in zip(fused.query_ids, fused.scores, order)]
 
 
 def read_relevance(path) -> dict[str, set[str]]:
@@ -343,12 +354,42 @@ def metrics_from_rankings(rankings: list[RankedList], relevance: dict[str, set[s
     return rows
 
 
+def table_metrics(table: ScoreTable, relevance: dict[str, set[str]],
+                  ks: list[int]) -> list[tuple[str, str, float]]:
+    """metrics_from_rankings' rows from the rank of each relevant item: 1 +
+    the items scoring higher + the equal-scoring ones in earlier columns, which
+    is top_k's tie rule when gallery columns are in ascending id order."""
+    if min(ks, default=1) < 1:
+        raise ValueError("k must be >= 1")
+    col = dict(zip(table.gallery_ids, range(len(table.gallery_ids))))
+    pairs = []
+    for i, qid in enumerate(table.query_ids):
+        if qid not in relevance:
+            raise UnknownQuery(f"query {qid!r} missing from relevance map")
+        cols = [col.get(g, -1) for g in relevance[qid]]
+        if not cols or -1 in cols:
+            raise DataError(f"query {qid!r}: relevant set empty or not in gallery")
+        pairs += [(i, c) for c in cols]
+    qrow, rcol = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    rank = np.empty(len(qrow), dtype=np.int64)
+    step = max(1, (1 << 22) // max(1, len(col)))  # score rows compared at once
+    for s in range(0, len(qrow), step):
+        block, c = table.scores[qrow[s:s + step]], rcol[s:s + step, None]
+        v, pos = np.take_along_axis(block, c, axis=1), np.arange(block.shape[1])
+        rank[s:s + step] = 1 + ((block > v) | (block == v) & (pos < c)).sum(axis=1)
+    rank = rank[np.lexsort((rank, qrow))]
+    hit = np.arange(len(qrow)) - np.searchsorted(qrow, qrow)
+    prec = np.zeros((len(table.query_ids), hit.max(initial=0) + 1))
+    prec[qrow, hit] = (hit + 1) / rank  # summed in rank order, as average_precision does
+    ap = np.cumsum(prec, axis=1)[:, -1] / np.bincount(qrow, minlength=len(prec))
+    rows = [("recall", str(k), float(np.mean(rank[hit == 0] <= k))) for k in ks]
+    return rows + [("ap", "", float(np.mean(ap)))]
+
+
 def evaluate(queries: EmbeddingSet, gallery: EmbeddingSet,
-             relevance: dict[str, set[str]], ks: list[int], *,
-             workers: int = 1) -> list[tuple[str, str, float]]:
-    """Rank the full gallery for every query and score R@k and mean AP."""
-    rankings = top_k(gallery, queries, len(gallery.ids), workers=workers)
-    return metrics_from_rankings(rankings, relevance, ks)
+             relevance: dict[str, set[str]], ks: list[int]) -> list[tuple[str, str, float]]:
+    """Score every query against the gallery, then R@k and mean AP."""
+    return table_metrics(score_table(gallery, queries), relevance, ks)
 
 
 def write_metrics(rows: list[tuple[str, str, float]], path) -> None:

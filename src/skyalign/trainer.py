@@ -46,12 +46,20 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
-        if self.peak_lr < 0:
+        if not self.peak_lr >= 0:
             raise ValueError("peak_lr must be >= 0")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ValueError("warmup_frac must be in [0, 1)")
         if not 0.0 <= self.rotation_prob <= 1.0:
             raise ValueError("rotation_prob must be in [0, 1]")
+        if min(self.epochs, self.hidden_dim, self.embed_dim) < 1:
+            raise ValueError("epochs, hidden_dim and embed_dim must be >= 1")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("beta1 and beta2 must be in [0, 1)")
+        if not self.weight_decay >= 0:
+            raise ValueError("weight_decay must be >= 0")
+        if not self.adam_eps > 0:
+            raise ValueError("adam_eps must be > 0")
 
 
 @dataclass

@@ -73,6 +73,49 @@ class TestFeatures:
                                  np.zeros((2, 3), dtype=np.float32), [0.0, 0.0], [False, False])
 
 
+class TestOversizedHeaders:
+    """Headers that claim more data than the file holds fail before any
+    allocation, and ids that are not UTF-8 fail as format errors."""
+
+    def test_features_count_and_dim_2_31(self, tmp_path):
+        path = tmp_path / "f.bin"
+        path.write_bytes(binio.FEA_MAGIC + struct.pack("<II", 2**31, 2**31))
+        with pytest.raises(FormatError, match="truncated"):
+            binio.read_features(path)
+
+    def test_embeddings_count_and_dim_2_31(self, tmp_path):
+        path = tmp_path / "e.bin"
+        path.write_bytes(binio.EMB_MAGIC + struct.pack("<II", 2**31, 2**31))
+        with pytest.raises(FormatError, match="truncated"):
+            binio.read_embeddings(path)
+
+    def test_checkpoint_dims_2_32_minus_1(self, tmp_path):
+        path = tmp_path / "c.bin"
+        path.write_bytes(binio.CKP_MAGIC + struct.pack("<I", binio.CKP_VERSION)
+                         + struct.pack("<IIII", *[2**32 - 1] * 4))
+        with pytest.raises(FormatError, match="truncated"):
+            binio.read_checkpoint(path, TestCheckpoint._shapes)
+
+    def test_non_utf8_feature_id(self, tmp_path):
+        path = tmp_path / "f.bin"
+        binio.write_features(path, ["a"], [0], np.zeros((1, 2), dtype=np.float32),
+                             [0.0], [False])
+        raw = bytearray(path.read_bytes())
+        raw[14] = 0xFF  # the id's one byte, after magic, header and length
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="UTF-8"):
+            binio.read_features(path)
+
+    def test_non_utf8_embedding_id(self, tmp_path):
+        path = tmp_path / "e.bin"
+        binio.write_embeddings(path, ["a"], np.ones((1, 2), dtype=np.float32))
+        raw = bytearray(path.read_bytes())
+        raw[-1] = 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="UTF-8"):
+            binio.read_embeddings(path)
+
+
 class TestEmbeddings:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -138,6 +138,26 @@ class TestUsageAndExitCodes:
         assert code == 3
         assert ":3:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("EPOCHS", "0"),
+        ("HIDDEN_DIM", "0"),
+        ("EMBED_DIM", "0"),
+        ("BETA1", "1.0"),
+        ("BETA1", "-0.1"),
+        ("BETA2", "1.0"),
+        ("ADAM_EPS", "0"),
+        ("WEIGHT_DECAY", "nan"),
+        ("PEAK_LR", "nan"),
+    ])
+    def test_bad_train_config_value_exits_2(self, pipeline, tmp_path, monkeypatch, capsys,
+                                            key, value):
+        monkeypatch.setenv(f"SKYALIGN_{key}", value)
+        code = main(["train", "--config", pipeline["train_cfg"], "--data", pipeline["data"],
+                     "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
 
 class TestGenData:
     def test_same_seed_byte_identical(self, tmp_path):
@@ -312,25 +332,6 @@ class TestEval:
         assert lines[1] == "recall,1,1.0"
         assert lines[2] == "ap,,1.0"
 
-    def test_threads_do_not_change_results(self, pipeline, tmp_path):
-        out = tmp_path / "metrics_t4.csv"
-        assert main(["eval", "--gallery", pipeline["emb"]["sat"],
-                     "--queries", pipeline["emb"]["drone"],
-                     "--relevance",
-                     os.path.join(pipeline["data"], "relevance_drone2sat.csv"),
-                     "--k", "1,5", "--out", str(out), "--threads", "4"]) == 0
-        assert out.read_bytes() == open(pipeline["metrics"], "rb").read()
-
-    def test_env_threads_accepted(self, pipeline, tmp_path, monkeypatch):
-        monkeypatch.setenv("SKYALIGN_THREADS", "2")
-        out = tmp_path / "metrics_env.csv"
-        assert main(["eval", "--gallery", pipeline["emb"]["sat"],
-                     "--queries", pipeline["emb"]["drone"],
-                     "--relevance",
-                     os.path.join(pipeline["data"], "relevance_drone2sat.csv"),
-                     "--k", "1,5", "--out", str(out)]) == 0
-        assert out.read_bytes() == open(pipeline["metrics"], "rb").read()
-
     def test_dim_flag_matches_in_process_truncation(self, pipeline, tmp_path):
         from skyalign.retrieval_eval import (evaluate, read_relevance,
                                              truncate_dim, write_metrics)
@@ -347,6 +348,18 @@ class TestEval:
         expected = tmp_path / "expected.csv"
         write_metrics(rows, expected)
         assert out.read_bytes() == expected.read_bytes()
+
+    def test_non_finite_embedding_exits_4(self, pipeline, tmp_path, capsys):
+        ids, matrix = binio.read_embeddings(pipeline["emb"]["drone"])
+        matrix[3, 1] = np.nan
+        bad = tmp_path / "drone_nan.bin"
+        binio.write_embeddings(bad, ids, matrix)
+        code = main(["eval", "--gallery", pipeline["emb"]["sat"], "--queries", str(bad),
+                     "--relevance",
+                     os.path.join(pipeline["data"], "relevance_drone2sat.csv"),
+                     "--k", "1", "--out", str(tmp_path / "m.csv")])
+        assert code == 4
+        assert "row 3 is not finite" in capsys.readouterr().err
 
     def test_oversized_dim_exits_3(self, pipeline, tmp_path, capsys):
         code = main(["eval", "--gallery", pipeline["emb"]["sat"],
@@ -399,6 +412,20 @@ class TestEnsemble:
                      "--relevance",
                      os.path.join(pipeline["data"], "relevance_drone2sat.csv"),
                      "--k", "1", "--out", str(out)]) == 0
+
+    def test_non_finite_score_exits_3(self, pipeline, tmp_path, capsys):
+        lines = open(pipeline["scores"], encoding="utf-8").read().split("\n")
+        cells = lines[3].split(",")
+        cells[2] = "nan"
+        lines[3] = ",".join(cells)
+        bad = tmp_path / "scores_nan.csv"
+        bad.write_text("\n".join(lines), encoding="utf-8")
+        code = main(["ensemble", "--scores", pipeline["scores"], str(bad),
+                     "--relevance",
+                     os.path.join(pipeline["data"], "relevance_drone2sat.csv"),
+                     "--out", str(tmp_path / "m.csv")])
+        assert code == 3
+        assert f"{bad}:4: score is not finite" in capsys.readouterr().err
 
     def test_weight_count_mismatch_exits_2(self, pipeline, tmp_path):
         code = main(["ensemble", "--scores", pipeline["scores"], pipeline["scores2"],

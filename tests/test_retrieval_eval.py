@@ -29,10 +29,12 @@ from skyalign.retrieval_eval import (
     average_precision,
     ensemble,
     evaluate,
+    fuse,
     metrics_from_rankings,
     read_relevance,
     recall_at_k,
     score_table,
+    table_metrics,
     top_k,
     truncate_dim,
     write_metrics,
@@ -307,6 +309,14 @@ class TestScoreTable:
         with pytest.raises(DataError):
             ScoreTable.load(path)
 
+    @pytest.mark.parametrize("text", ["query_id,g0,g0\nq0,1.0,0.5\n",
+                                      "query_id,g0\nq0,1.0\nq0,0.5\n"])
+    def test_duplicate_ids_rejected(self, tmp_path, text):
+        path = tmp_path / "scores.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match="duplicate"):
+            ScoreTable.load(path)
+
 
 def table(qids, gids, scores):
     return ScoreTable(list(qids), list(gids), np.asarray(scores, dtype=float))
@@ -434,3 +444,71 @@ class TestRelevanceAndMetricsIO:
         rel = {i: {i} for i in ids}
         rows = evaluate(es, es, rel, [1, 5])
         assert rows == [("recall", "1", 1.0), ("recall", "5", 1.0), ("ap", "", 1.0)]
+
+
+class TestRankOfRelevantMetrics:
+    """table_metrics (and evaluate through it) must give exactly the rows of
+    metrics_from_rankings over full rankings.  A coarse dyadic grid (values
+    in {-2..2}/64, dim <= 4) makes tied scores common, including ties that
+    straddle relevant and non-relevant items."""
+
+    KS = [1, 2, 3, 5, 10]
+
+    @staticmethod
+    def coarse_set(rng, n, dim, prefix):
+        grid = rng.integers(-2, 3, size=(n, dim))
+        grid[~grid.any(axis=1), 0] = 1
+        ids = [f"{prefix}{i:04d}" for i in rng.permutation(n)]  # ids not in row order
+        return EmbeddingSet(ids, (grid / 64.0).astype(np.float32))
+
+    def random_case(self, rng):
+        n_gallery = int(rng.integers(1, 40))
+        dim = int(rng.integers(1, 5))
+        gallery = self.coarse_set(rng, n_gallery, dim, "g")
+        queries = self.coarse_set(rng, int(rng.integers(1, 20)), dim, "q")
+        rel = {q: set(rng.choice(gallery.ids, size=min(n_gallery, int(rng.integers(1, 6))),
+                                 replace=False).tolist())
+               for q in queries.ids}
+        return gallery, queries, rel
+
+    def test_evaluate_equals_full_ranking_metrics(self):
+        rng = np.random.default_rng(11)
+        for _ in range(150):
+            gallery, queries, rel = self.random_case(rng)
+            full = top_k(gallery, queries, len(gallery.ids))
+            assert evaluate(queries, gallery, rel, self.KS) == \
+                metrics_from_rankings(full, rel, self.KS)
+
+    @pytest.mark.parametrize("fusion", ["score-mean", "reciprocal-rank"])
+    def test_fused_table_equals_ensemble_rankings(self, fusion):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            gallery, queries, rel = self.random_case(rng)
+            other = self.coarse_set(rng, len(gallery.ids), gallery.dim, "x")
+            t1 = score_table(gallery, queries)
+            t2 = score_table(EmbeddingSet(gallery.ids, other.matrix), queries)
+            # reversed columns, so fuse must realign them by id
+            t2 = ScoreTable(t2.query_ids, t2.gallery_ids[::-1], t2.scores[:, ::-1])
+            tables, weights = [t1, t2], [0.75, 0.25]
+            assert table_metrics(fuse(tables, weights, fusion), rel, self.KS) == \
+                metrics_from_rankings(ensemble(tables, weights, fusion), rel, self.KS)
+
+    def test_unknown_query_rejected(self):
+        es = EmbeddingSet(["a", "b"], np.eye(2, dtype=np.float32))
+        with pytest.raises(UnknownQuery):
+            evaluate(es, es, {"a": {"a"}}, [1])
+
+    def test_relevant_id_outside_gallery_rejected(self):
+        es = EmbeddingSet(["a", "b"], np.eye(2, dtype=np.float32))
+        with pytest.raises(DataError, match="'b'"):
+            evaluate(es, es, {"a": {"a"}, "b": {"zz"}}, [1])
+
+    def test_empty_relevant_set_rejected(self):
+        es = EmbeddingSet(["a"], np.eye(1, dtype=np.float32))
+        with pytest.raises(DataError):
+            evaluate(es, es, {"a": set()}, [1])
+
+    def test_bad_k_rejected(self):
+        es = EmbeddingSet(["a"], np.eye(1, dtype=np.float32))
+        with pytest.raises(ValueError):
+            evaluate(es, es, {"a": {"a"}}, [0])
