@@ -117,6 +117,10 @@ def read_features(path):
             masked[i] = bool(mk)
         if fh.read(1):
             raise FormatError(f"{path}: trailing bytes after {n} records")
+    for what, finite in (("vector", np.isfinite(vectors).all(axis=1)),
+                         ("azimuth", np.isfinite(azimuths))):
+        if not finite.all():
+            raise FormatError(f"{path}: record {int(np.argmin(finite))}: {what} is not finite")
     return ids, kinds, vectors, azimuths, masked
 
 
@@ -180,4 +184,9 @@ def read_checkpoint(path, shapes_of):
         (tau,) = struct.unpack("<f", _read_exact(fh, 4, path, "temperature"))
         if fh.read(1):
             raise FormatError(f"{path}: trailing bytes after temperature")
+    for i, arr in enumerate(arrays):
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: array {i} {arr.shape} is not finite")
+    if not math.isfinite(tau):
+        raise FormatError(f"{path}: temperature is not finite")
     return dims, arrays, tau

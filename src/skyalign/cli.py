@@ -60,6 +60,13 @@ def _int_list(text: str) -> list[int]:
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _k_list(text: str) -> list[int]:
+    ks = _int_list(text)
+    if min(ks, default=1) < 1:
+        raise ConfigError(f"--k values must be >= 1, got {text!r}")
+    return ks
+
+
 def _float_list(text: str) -> list[float]:
     try:
         return [float(v) for v in text.split(",") if v.strip()]
@@ -137,6 +144,8 @@ def cmd_embed(args) -> None:
 
 
 def _load_query_gallery(args):
+    if args.dim is not None and args.dim < 1:
+        raise ConfigError(f"--dim must be >= 1, got {args.dim}")
     gallery = EmbeddingSet.load(_require_file(args.gallery))
     queries = EmbeddingSet.load(_require_file(args.queries))
     if args.dim is not None:
@@ -146,9 +155,9 @@ def _load_query_gallery(args):
 
 
 def cmd_eval(args) -> None:
+    ks = _k_list(args.k)
     gallery, queries = _load_query_gallery(args)
     relevance = read_relevance(_require_file(args.relevance))
-    ks = _int_list(args.k)
     table = score_table(gallery, queries)
     rows = table_metrics(table, relevance, ks)
     write_metrics(rows, args.out)
@@ -163,12 +172,13 @@ def cmd_eval(args) -> None:
 def cmd_ensemble(args) -> None:
     if len(args.scores) < 2:
         raise ConfigError("ensemble needs at least two score tables")
+    ks = _k_list(args.k)
     tables = [ScoreTable.load(_require_file(p)) for p in args.scores]
     weights = _float_list(args.weights) if args.weights else None
     if weights is not None and len(weights) != len(tables):
         raise ConfigError(f"{len(weights)} weights for {len(tables)} score tables")
     relevance = read_relevance(_require_file(args.relevance))
-    rows = table_metrics(fuse(tables, weights, args.fusion), relevance, _int_list(args.k))
+    rows = table_metrics(fuse(tables, weights, args.fusion), relevance, ks)
     write_metrics(rows, args.out)
     for metric, k, value in rows:
         label = f"{metric}@{k}" if k else metric

@@ -67,6 +67,20 @@ class TestFeatures:
         with pytest.raises(FormatError, match="bad kind code"):
             binio.read_features(path)
 
+    @pytest.mark.parametrize("field,value", [("vector", np.nan), ("azimuth", np.inf)])
+    def test_non_finite_rejected(self, tmp_path, field, value):
+        vectors = np.zeros((3, 2), dtype=np.float32)
+        azimuths = [0.0, 90.0, 180.0]
+        if field == "vector":
+            vectors[1, 1] = value
+        else:
+            azimuths[1] = value
+        path = tmp_path / "f.bin"
+        binio.write_features(path, ["a", "b", "c"], [0, 1, 1], vectors, azimuths,
+                             [False, False, True])
+        with pytest.raises(FormatError, match=f"f.bin: record 1: {field} is not finite"):
+            binio.read_features(path)
+
     def test_length_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             binio.write_features(tmp_path / "f.bin", ["only-one"], [0, 1],
@@ -173,4 +187,19 @@ class TestCheckpoint:
         raw[4] = 99
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="version"):
+            binio.read_checkpoint(path, self._shapes)
+
+    @pytest.mark.parametrize("which", range(7))  # the six arrays, then the temperature
+    def test_non_finite_rejected(self, tmp_path, which):
+        dims = (2, 3, 2, 4)
+        arrays = [np.ones(s, dtype=np.float32) for s in self._shapes(dims)]
+        tau = 0.07
+        if which < len(arrays):
+            arrays[which].flat[-1] = np.nan
+        else:
+            tau = np.inf
+        path = tmp_path / "c.bin"
+        binio.write_checkpoint(path, dims, arrays, tau)
+        what = f"array {which}" if which < len(arrays) else "temperature"
+        with pytest.raises(FormatError, match=f"c.bin: {what}.* is not finite"):
             binio.read_checkpoint(path, self._shapes)

@@ -3,6 +3,7 @@ through main(argv), with exit codes, artifact bytes, and env overrides."""
 
 import filecmp
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -157,6 +158,38 @@ class TestUsageAndExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--k", "0"],
+        ["eval", "--k", "1,-5"],
+        ["eval", "--dim", "0"],
+        ["ensemble", "--k", "0"],
+    ])
+    def test_bad_retrieval_option_exits_2(self, pipeline, tmp_path, capsys, argv):
+        rel = os.path.join(pipeline["data"], "relevance_drone2sat.csv")
+        inputs = {
+            "eval": ["--gallery", pipeline["emb"]["sat"], "--queries", pipeline["emb"]["drone"]],
+            "ensemble": ["--scores", pipeline["scores"], pipeline["scores2"]],
+        }[argv[0]]
+        code = main(argv + inputs + ["--relevance", rel, "--out", str(tmp_path / "m.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_non_finite_features_exit_3(self, pipeline, tmp_path, capsys):
+        ids, kinds, vectors, azimuths, masked = binio.read_features(
+            os.path.join(pipeline["data"], "features.bin"))
+        vectors[5, 0] = np.nan
+        data = tmp_path / "data"
+        data.mkdir()
+        binio.write_features(data / "features.bin", ids, kinds, vectors, azimuths, masked)
+        shutil.copy(os.path.join(pipeline["data"], "manifest.csv"), data)
+        code = main(["train", "--config", pipeline["train_cfg"], "--data", str(data),
+                     "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert f"{data / 'features.bin'}: record 5: vector is not finite" in capsys.readouterr().err
 
 
 class TestGenData:

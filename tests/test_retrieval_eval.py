@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
-from skyalign import binio
+from skyalign import binio, retrieval_eval
 from skyalign.errors import (
     DataError,
     DimMismatch,
@@ -24,6 +24,8 @@ from skyalign.errors import (
 )
 from skyalign.retrieval_eval import (
     EmbeddingSet,
+    _id_ordered,
+    _renormalize,
     RankedList,
     ScoreTable,
     average_precision,
@@ -90,6 +92,19 @@ class TestEmbeddingSet:
         binio.write_embeddings(path, ["a"], np.array([[6.0, 8.0]], dtype=np.float32))
         es = EmbeddingSet.load(path)
         np.testing.assert_allclose(es.matrix[0], [0.6, 0.8], atol=1e-6)
+
+    def test_renormalize_in_chunks_equals_one_shot(self):
+        # 3000 x 300 spans several of _renormalize's row chunks
+        rng = np.random.default_rng(13)
+        m = (rng.standard_normal((3000, 300)) * rng.uniform(0.1, 10, (3000, 1))).astype(np.float32)
+        ref = (m / np.linalg.norm(m.astype(np.float64), axis=1, keepdims=True)).astype(np.float32)
+        assert _renormalize(m).tobytes() == ref.tobytes()
+        m[2500] = 0.0
+        with pytest.raises(NormDegenerate, match="row 2500 has norm"):
+            _renormalize(m)
+        m[2999, 7] = np.inf  # non-finite is reported before a zero norm
+        with pytest.raises(NormDegenerate, match="row 2999 is not finite"):
+            _renormalize(m)
 
 
 class TestTopKExactness:
@@ -186,6 +201,57 @@ class TestTopKExactness:
         es = EmbeddingSet(["a"], np.ones((1, 3), dtype=np.float32))
         with pytest.raises(ValueError):
             top_k(es, es, 0)
+
+    def test_partition_and_tie_fallback_share_a_block(self, monkeypatch):
+        # queries that copy a twelve-fold gallery row have more equal k-th
+        # scores than k, so the exact rule must pick among them; the random
+        # queries do not, and keep the argpartition pick
+        rng = np.random.default_rng(5)
+        n_g, dim, k = 120, 6, 5
+        grid = rng.integers(-64, 65, size=(n_g, dim))
+        templates = rng.integers(-2, 3, size=(3, dim)) * 32
+        templates[~templates.any(axis=1), 0] = 64
+        grid[:36] = np.repeat(templates, 12, axis=0)
+        rows = (grid / 64.0).astype(np.float32)
+        perm = rng.permutation(n_g)
+        gallery = EmbeddingSet([f"g{i:04d}" for i in perm], rows)  # ids not in row order
+        qrows = np.vstack([rows[:36:12], dyadic_set(rng, 9, dim, "q").matrix])
+        queries = EmbeddingSet([f"q{i:02d}" for i in range(len(qrows))], qrows)
+        expected = [naive_topk(gallery.ids, [list(map(float, r)) for r in gallery.matrix],
+                               list(map(float, q)), k) for q in queries.matrix]
+
+        tied_rows = []
+        exact = retrieval_eval._exact_candidates
+
+        def counting(scores, kth, k):
+            tied_rows.append(scores.shape[0])
+            return exact(scores, kth, k)
+
+        monkeypatch.setattr(retrieval_eval, "_exact_candidates", counting)
+        for gallery_block in (1, 7, 64, 4096):
+            tied_rows.clear()
+            got = top_k(gallery, queries, k, gallery_block=gallery_block, query_block=64)
+            for r, exp in zip(got, expected):
+                assert r.gallery_ids == [gid for gid, _ in exp]
+                assert [float(s) for s in r.scores] == [s for _, s in exp]
+            if gallery_block == 4096:  # one block holds every row
+                assert 3 <= sum(tied_rows) < len(qrows)
+
+    def test_sorted_ids_skip_the_copy_and_match_shuffled_ids(self):
+        rng = np.random.default_rng(9)
+        in_order = dyadic_set(rng, 150, 8, "g")  # ids ascend with the rows
+        perm = rng.permutation(150)
+        shuffled = EmbeddingSet([in_order.ids[i] for i in perm], in_order.matrix[perm])
+        queries = dyadic_set(rng, 20, 8, "q")
+        gids, gmat = _id_ordered(in_order)
+        assert gids == in_order.ids and np.shares_memory(gmat, in_order.matrix)
+        for gallery_block in (7, 4096):
+            a = top_k(in_order, queries, 10, gallery_block=gallery_block)
+            b = top_k(shuffled, queries, 10, gallery_block=gallery_block)
+            assert [r.gallery_ids for r in a] == [r.gallery_ids for r in b]
+            assert [r.scores.tobytes() for r in a] == [r.scores.tobytes() for r in b]
+        ta, tb = score_table(in_order, queries), score_table(shuffled, queries)
+        assert ta.gallery_ids == tb.gallery_ids and ta.scores.tobytes() == tb.scores.tobytes()
 
 
 def ranked(ids, scores=None):
