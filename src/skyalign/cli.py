@@ -60,11 +60,17 @@ def _int_list(text: str) -> list[int]:
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _k_list(text: str) -> list[int]:
-    ks = _int_list(text)
-    if min(ks, default=1) < 1:
-        raise ConfigError(f"--k values must be >= 1, got {text!r}")
-    return ks
+def _positive_list(text: str, flag: str) -> list[int]:
+    values = _int_list(text)
+    if min(values, default=1) < 1:
+        raise ConfigError(f"{flag} values must be >= 1, got {text!r}")
+    return values
+
+
+def _bin_count(bins: int) -> int:
+    if bins < 2:
+        raise ConfigError(f"--bins must be >= 2, got {bins}")
+    return bins
 
 
 def _float_list(text: str) -> list[float]:
@@ -74,23 +80,8 @@ def _float_list(text: str) -> list[float]:
         raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _env_int(name: str):
-    raw = os.environ.get(configio.ENV_PREFIX + name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"bad {configio.ENV_PREFIX}{name}: {raw!r}") from None
-
-
-def _seed_override(args) -> dict:
-    seed = args.seed if args.seed is not None else _env_int("SEED")
-    return {"seed": seed}
-
-
 def cmd_gen_data(args) -> None:
-    cfg = configio.load_gen_config(_require_file(args.config), _seed_override(args))
+    cfg = configio.load_gen_config(_require_file(args.config), {"seed": args.seed})
     os.makedirs(args.out, exist_ok=True)
     features, manifest = generate(cfg)
     save_features(features, os.path.join(args.out, FEATURES_NAME))
@@ -104,15 +95,16 @@ def cmd_gen_data(args) -> None:
 
 
 def cmd_gen_labels(args) -> None:
+    label_cfg = LabelConfig(_bin_count(args.bins))
     manifest = read_manifest(_require_file(args.manifest))
-    labels = generate_labels(manifest, LabelConfig(args.bins))
+    labels = generate_labels(manifest, label_cfg)
     write_labels(labels, args.out)
     n_masked = sum(1 for lab in labels if lab.masked)
     print(f"wrote {len(labels)} labels ({n_masked} masked) to {args.out}")
 
 
 def cmd_train(args) -> None:
-    cfg = configio.load_train_config(_require_file(args.config), _seed_override(args))
+    cfg = configio.load_train_config(_require_file(args.config), {"seed": args.seed})
     features_path = _require_file(os.path.join(args.data, FEATURES_NAME))
     manifest = read_manifest(_require_file(os.path.join(args.data, MANIFEST_NAME)))
     dataset = CrossViewDataset.load(features_path, manifest, cfg.loss.bins)
@@ -155,7 +147,7 @@ def _load_query_gallery(args):
 
 
 def cmd_eval(args) -> None:
-    ks = _k_list(args.k)
+    ks = _positive_list(args.k, "--k")
     gallery, queries = _load_query_gallery(args)
     relevance = read_relevance(_require_file(args.relevance))
     table = score_table(gallery, queries)
@@ -172,7 +164,7 @@ def cmd_eval(args) -> None:
 def cmd_ensemble(args) -> None:
     if len(args.scores) < 2:
         raise ConfigError("ensemble needs at least two score tables")
-    ks = _k_list(args.k)
+    ks = _positive_list(args.k, "--k")
     tables = [ScoreTable.load(_require_file(p)) for p in args.scores]
     weights = _float_list(args.weights) if args.weights else None
     if weights is not None and len(weights) != len(tables):
@@ -187,7 +179,7 @@ def cmd_ensemble(args) -> None:
 
 
 def _sweep_inputs(args):
-    cfg = configio.load_train_config(_require_file(args.config), _seed_override(args))
+    cfg = configio.load_train_config(_require_file(args.config), {"seed": args.seed})
     features_path = _require_file(os.path.join(args.data, FEATURES_NAME))
     manifest = read_manifest(_require_file(os.path.join(args.data, MANIFEST_NAME)))
     seeds = _int_list(args.seeds)
@@ -207,9 +199,10 @@ def cmd_ablate_bins(args) -> None:
             bins_list.append(tok)
         else:
             try:
-                bins_list.append(int(tok))
+                bins = int(tok)
             except ValueError:
                 raise ConfigError(f"bad bins entry {tok!r}") from None
+            bins_list.append(_bin_count(bins))
     if not bins_list:
         raise ConfigError("need at least one bins setting")
     rows = ablations.ablate_bins(features_path, manifest, cfg, bins_list, seeds)
@@ -221,7 +214,7 @@ def cmd_ablate_bins(args) -> None:
 
 def cmd_ablate_dim(args) -> None:
     cfg, features_path, manifest, seeds = _sweep_inputs(args)
-    dims = _int_list(args.dims)
+    dims = _positive_list(args.dims, "--dims")
     if not dims:
         raise ConfigError("need at least one dim")
     rows = ablations.ablate_dim(features_path, manifest, cfg, dims, seeds)

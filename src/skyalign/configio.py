@@ -6,6 +6,7 @@ variable SKYALIGN_<KEY> (key upper-cased), explicit CLI flag.
 
 from __future__ import annotations
 
+import math
 import os
 
 from .dataset import GenConfig
@@ -82,9 +83,12 @@ def _coerce(key: str, raw: str, typ):
             if low in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        return typ(raw)
+        value = typ(raw)
     except ValueError:
         raise ConfigError(f"bad value for {key}: {raw!r}") from None
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {raw!r}")
+    return value
 
 
 def resolve(values: dict[str, str], known: dict[str, type],

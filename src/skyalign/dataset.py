@@ -1,6 +1,9 @@
 """Synthetic cross-view features, the one-drone-view-per-building batch
 sampler, and the aligned-rotation augmentation.
 
+Batch sampling and aligned rotation are array operations that draw from
+their generators exactly what one scalar call per row would.
+
 Each building owns a fixed unit-norm latent vector.  A view's input is that
 latent plus Gaussian noise, concatenated with (cos, sin) of an orientation
 angle: the drone's true relative azimuth, or the satellite's orientation
@@ -92,27 +95,26 @@ class ViewFeature:
 
 @dataclass
 class TrainBatch:
-    """One training batch: row i of both input matrices is building i.
+    """One training batch: row i of both input matrices is the building of
+    dataset drone row drone_rows[i].
 
-    orientation_bins uses MASKED_BIN for masked rows; azimuth and relative
-    angle are NaN there.  sat_angle_deg is the satellite feature-block angle
-    alpha; relative_angle_deg = (drone azimuth + alpha) mod 360 is the
-    ground truth the bin label discretizes.
+    orientation_bins uses MASKED_BIN for masked rows; relative_angle_deg is
+    NaN there.  sat_angle_deg is the satellite feature-block angle alpha;
+    relative_angle_deg = (drone azimuth + alpha) mod 360 is the ground truth
+    the bin label discretizes.
     """
 
     sat_inputs: np.ndarray
     drone_inputs: np.ndarray
-    building_ids: list[str]
+    drone_rows: np.ndarray
     orientation_bins: np.ndarray
     mask: np.ndarray
-    drone_view_ids: list[str]
-    drone_azimuth_deg: np.ndarray
     sat_angle_deg: np.ndarray
     relative_angle_deg: np.ndarray
 
     @property
     def size(self) -> int:
-        return len(self.building_ids)
+        return len(self.drone_rows)
 
 
 def _orientation_block(angle_deg: float) -> np.ndarray:
@@ -224,7 +226,9 @@ class CrossViewDataset:
         self.drone_azimuth_deg: Optional[np.ndarray] = None
         self.drone_masked: Optional[np.ndarray] = None
         self.drone_bins: Optional[np.ndarray] = None
-        self.drones_of: list[np.ndarray] = []  # building index -> drone row indices
+        # drone rows sorted stably by building, and each building's row count
+        self.drone_order: Optional[np.ndarray] = None
+        self.drone_counts: Optional[np.ndarray] = None
 
     @property
     def n_buildings(self) -> int:
@@ -274,12 +278,11 @@ class CrossViewDataset:
                     ds.drone_bins[i] = bins_by_view[feat.view_id]
                 else:
                     ds.drone_bins[i] = bin_of(feat.angle_deg, ds.label_cfg)
-        ds.drones_of = [
-            np.nonzero(ds.drone_building_idx == b)[0] for b in range(ds.n_buildings)
-        ]
-        for b, rows in enumerate(ds.drones_of):
-            if rows.size == 0:
-                raise DataError(f"building {ds.building_ids[b]!r} has no drone views")
+        ds.drone_order = np.argsort(ds.drone_building_idx, kind="stable")
+        ds.drone_counts = np.bincount(ds.drone_building_idx, minlength=ds.n_buildings)
+        empty = np.flatnonzero(ds.drone_counts == 0)
+        if empty.size:
+            raise DataError(f"building {ds.building_ids[empty[0]]!r} has no drone views")
         return ds
 
     @classmethod
@@ -327,7 +330,8 @@ class CrossViewDataset:
         ds.drone_bins = np.array(
             [bin_of(az, self.label_cfg) for az in self.drone_azimuth_deg], dtype=np.int64
         )
-        ds.drones_of = [rows.copy() for rows in self.drones_of]
+        ds.drone_order = self.drone_order.copy()
+        ds.drone_counts = self.drone_counts.copy()
         return ds
 
 
@@ -372,6 +376,7 @@ class BatchSampler:
         self.batch_size = batch_size
         self.rng = rng
         self._queue: list[np.ndarray] = []
+        self._starts = np.cumsum(dataset.drone_counts) - dataset.drone_counts  # in drone_order
 
     @property
     def batches_per_epoch(self) -> int:
@@ -394,22 +399,17 @@ class BatchSampler:
             self._refill()
         buildings = self._queue.pop()
         ds = self.dataset
-        picks = np.empty(len(buildings), dtype=np.int64)
-        for i, b in enumerate(buildings):
-            rows = ds.drones_of[b]
-            picks[i] = rows[self.rng.integers(len(rows))]
-        mask = ds.drone_masked[picks].copy()
-        azimuth = np.where(mask, np.nan, ds.drone_azimuth_deg[picks])
+        pick = self.rng.integers(ds.drone_counts[buildings])
+        rows = ds.drone_order[self._starts[buildings] + pick]
+        mask = ds.drone_masked[rows]
         return TrainBatch(
-            sat_inputs=ds.sat_inputs[buildings].copy(),
-            drone_inputs=ds.drone_inputs[picks].copy(),
-            building_ids=[ds.building_ids[b] for b in buildings],
-            orientation_bins=ds.drone_bins[picks].copy(),
+            sat_inputs=ds.sat_inputs[buildings],
+            drone_inputs=ds.drone_inputs[rows],
+            drone_rows=rows,
+            orientation_bins=ds.drone_bins[rows],
             mask=mask,
-            drone_view_ids=[ds.drone_view_ids[i] for i in picks],
-            drone_azimuth_deg=azimuth,
             sat_angle_deg=np.zeros(len(buildings)),
-            relative_angle_deg=azimuth.copy(),
+            relative_angle_deg=np.where(mask, np.nan, ds.drone_azimuth_deg[rows]),
         )
 
 
@@ -421,33 +421,24 @@ def apply_aligned_rotation(batch: TrainBatch, rng: np.random.Generator,
     Independently per row with probability p, draw k in {1, ..., bins-1},
     advance the satellite feature angle by k bin widths, and advance the bin
     label (and relative angle) identically; masked rows rotate features but
-    keep the sentinel label.  Returns a new batch; the input is untouched.
+    keep the sentinel label.  Returns a new batch, sharing the arrays it
+    does not change with the input; the input is untouched.
     """
-    n = batch.size
-    m2 = batch.sat_inputs.shape[1]
-    out = replace(
-        batch,
-        sat_inputs=batch.sat_inputs.copy(),
-        drone_inputs=batch.drone_inputs.copy(),
-        orientation_bins=batch.orientation_bins.copy(),
-        mask=batch.mask.copy(),
-        drone_azimuth_deg=batch.drone_azimuth_deg.copy(),
-        sat_angle_deg=batch.sat_angle_deg.copy(),
-        relative_angle_deg=batch.relative_angle_deg.copy(),
-        building_ids=list(batch.building_ids),
-        drone_view_ids=list(batch.drone_view_ids),
-    )
-    if p <= 0 or n == 0:
-        return out
-    coins = rng.random(n)
-    for i in range(n):
-        if coins[i] >= p:
-            continue
-        k = int(rng.integers(1, cfg.bins))
+    sat_inputs = batch.sat_inputs.copy()
+    bins = batch.orientation_bins.copy()
+    sat_angle = batch.sat_angle_deg.copy()
+    relative = batch.relative_angle_deg.copy()
+    if p > 0 and batch.size:
+        hit = np.flatnonzero(rng.random(batch.size) < p)
+        k = rng.integers(1, cfg.bins, size=hit.size)
         step = k * cfg.bin_width_deg
-        out.sat_angle_deg[i] = (out.sat_angle_deg[i] + step) % 360.0
-        out.sat_inputs[i, m2 - 2:m2] = _orientation_block(out.sat_angle_deg[i])
-        if not out.mask[i]:
-            out.orientation_bins[i] = rotate_label(int(out.orientation_bins[i]), k, cfg)
-            out.relative_angle_deg[i] = (out.relative_angle_deg[i] + step) % 360.0
-    return out
+        sat_angle[hit] = (sat_angle[hit] + step) % 360.0
+        rad = np.radians(sat_angle[hit])
+        sat_inputs[hit, -2] = np.cos(rad)
+        sat_inputs[hit, -1] = np.sin(rad)
+        live = ~batch.mask[hit]
+        rows = hit[live]
+        bins[rows] = rotate_label(bins[rows], k[live], cfg)
+        relative[rows] = (relative[rows] + step[live]) % 360.0
+    return replace(batch, sat_inputs=sat_inputs, orientation_bins=bins,
+                   sat_angle_deg=sat_angle, relative_angle_deg=relative)

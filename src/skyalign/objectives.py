@@ -70,7 +70,8 @@ def infonce_with_grad(emb_sat: np.ndarray, emb_drone: np.ndarray, mask: np.ndarr
         raise DataError(f"contrastive batch needs at least 2 rows, got {n}")
     if emb_drone.shape != emb_sat.shape or mask.shape[0] != n:
         raise DataError("embedding/mask shapes disagree")
-    anchors = np.nonzero(~np.asarray(mask, dtype=bool))[0]
+    masked = np.asarray(mask, dtype=bool)
+    anchors = np.nonzero(~masked)[0]
     u = anchors.size
     if u == 0:
         raise AllMasked("every row of the batch is masked; no anchor terms remain")
@@ -83,12 +84,16 @@ def infonce_with_grad(emb_sat: np.ndarray, emb_drone: np.ndarray, mask: np.ndarr
     ce_sd = _smoothed_ce_rows(logp_sd[anchors], anchors, eps)
     loss = float((ce_ds.sum() + ce_sd.sum()) / (2.0 * u))
 
-    # dCE/drow for an anchor row is softmax - target; weight 1/(2U)
-    q = np.full((u, n), eps / n)
-    q[np.arange(u), anchors] += 1.0 - eps
-    g = np.zeros((n, n))
-    g[anchors, :] += np.exp(logp_ds[anchors]) - q
-    g[:, anchors] += (np.exp(logp_sd[anchors]) - q).T
+    # dCE/drow for an anchor row is softmax - target; weight 1/(2U).  The
+    # diagonal target is rounded once: two separate subtractions move bits.
+    q = np.full((n, n), eps / n)
+    np.fill_diagonal(q, eps / n + (1.0 - eps))
+    g = np.exp(logp_ds, out=logp_ds)  # in place: the loss no longer needs logp
+    g -= q
+    g_sd = np.exp(logp_sd, out=logp_sd)
+    g_sd -= q
+    g[masked] = g_sd[masked] = 0.0
+    g += g_sd.T
     g /= 2.0 * u
 
     d_drone = g @ emb_sat / tau

@@ -33,11 +33,9 @@ def make_batch(rng: np.random.Generator, n: int, latent_dim: int, bins: int,
     return TrainBatch(
         sat_inputs=rng.standard_normal((n, latent_dim + 2)),
         drone_inputs=rng.standard_normal((n, latent_dim + 2)),
-        building_ids=[f"b{i}" for i in range(n)],
+        drone_rows=np.arange(n),
         orientation_bins=bins_arr,
         mask=mask,
-        drone_view_ids=[f"d{i}" for i in range(n)],
-        drone_azimuth_deg=np.where(mask, np.nan, angles),
         sat_angle_deg=np.zeros(n),
         relative_angle_deg=np.where(mask, np.nan, angles),
     )

@@ -1,13 +1,22 @@
 """Naive reference implementations used to cross-check the package.
 
-Everything here is written as plain term-by-term Python loops over math
+The naive_* functions are plain term-by-term Python loops over math
 functions, deliberately independent of the vectorized numpy routes in the
 package.  Tests compare the two routes; neither is derived from the other.
+The loop-form references at the end are exact-equality references for the
+training batch path.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+
+import numpy as np
+
+from skyalign.dataset import BatchSampler, TrainBatch
+from skyalign.objectives import _log_softmax, _smoothed_ce_rows
+from skyalign.pose_geometry import rotate_label
 
 
 def softmax_row(row):
@@ -99,3 +108,102 @@ def naive_average_precision(ranked_ids, relevant):
 def central_difference(f, x, step):
     """d f / d x by central finite difference at scalar x."""
     return (f(x + step) - f(x - step)) / (2.0 * step)
+
+
+# ---------------------------------------------------------------------------
+# Loop-form references for the batch path.  These are the earlier per-row
+# (sampler, rotation) and index-scatter (InfoNCE gradient) implementations,
+# kept verbatim apart from the batch fields they fill.  The array forms in
+# the package must reproduce them exactly: same arrays, same generator state
+# afterwards.
+
+
+def _loop_orientation_block(angle_deg):
+    rad = math.radians(angle_deg)
+    return np.array([math.cos(rad), math.sin(rad)])
+
+
+class LoopBatchSampler(BatchSampler):
+    """BatchSampler whose view choice is one scalar draw per building."""
+
+    def sample_batch(self) -> TrainBatch:
+        if not self._queue:
+            self._refill()
+        buildings = self._queue.pop()
+        ds = self.dataset
+        drones_of = [
+            np.nonzero(ds.drone_building_idx == b)[0] for b in range(ds.n_buildings)
+        ]
+        picks = np.empty(len(buildings), dtype=np.int64)
+        for i, b in enumerate(buildings):
+            rows = drones_of[b]
+            picks[i] = rows[self.rng.integers(len(rows))]
+        mask = ds.drone_masked[picks].copy()
+        azimuth = np.where(mask, np.nan, ds.drone_azimuth_deg[picks])
+        return TrainBatch(
+            sat_inputs=ds.sat_inputs[buildings].copy(),
+            drone_inputs=ds.drone_inputs[picks].copy(),
+            drone_rows=picks,
+            orientation_bins=ds.drone_bins[picks].copy(),
+            mask=mask,
+            sat_angle_deg=np.zeros(len(buildings)),
+            relative_angle_deg=azimuth.copy(),
+        )
+
+
+def loop_aligned_rotation(batch, rng, p, cfg):
+    """Per-row aligned rotation: one coin per row, then one k per hit row."""
+    n = batch.size
+    m2 = batch.sat_inputs.shape[1]
+    out = replace(
+        batch,
+        sat_inputs=batch.sat_inputs.copy(),
+        drone_inputs=batch.drone_inputs.copy(),
+        drone_rows=batch.drone_rows.copy(),
+        orientation_bins=batch.orientation_bins.copy(),
+        mask=batch.mask.copy(),
+        sat_angle_deg=batch.sat_angle_deg.copy(),
+        relative_angle_deg=batch.relative_angle_deg.copy(),
+    )
+    if p <= 0 or n == 0:
+        return out
+    coins = rng.random(n)
+    for i in range(n):
+        if coins[i] >= p:
+            continue
+        k = int(rng.integers(1, cfg.bins))
+        step = k * cfg.bin_width_deg
+        out.sat_angle_deg[i] = (out.sat_angle_deg[i] + step) % 360.0
+        out.sat_inputs[i, m2 - 2:m2] = _loop_orientation_block(out.sat_angle_deg[i])
+        if not out.mask[i]:
+            out.orientation_bins[i] = rotate_label(int(out.orientation_bins[i]), k, cfg)
+            out.relative_angle_deg[i] = (out.relative_angle_deg[i] + step) % 360.0
+    return out
+
+
+def scatter_infonce_with_grad(emb_sat, emb_drone, mask, tau, eps):
+    """InfoNCE whose gradient is scattered anchor row by anchor row."""
+    n = emb_sat.shape[0]
+    anchors = np.nonzero(~np.asarray(mask, dtype=bool))[0]
+    u = anchors.size
+
+    scores = emb_drone @ emb_sat.T / tau
+    logp_ds = _log_softmax(scores)          # drone anchors vs sat columns
+    logp_sd = _log_softmax(scores.T)        # sat anchors vs drone columns
+
+    ce_ds = _smoothed_ce_rows(logp_ds[anchors], anchors, eps)
+    ce_sd = _smoothed_ce_rows(logp_sd[anchors], anchors, eps)
+    loss = float((ce_ds.sum() + ce_sd.sum()) / (2.0 * u))
+
+    # dCE/drow for an anchor row is softmax - target; weight 1/(2U)
+    q = np.full((u, n), eps / n)
+    q[np.arange(u), anchors] += 1.0 - eps
+    g = np.zeros((n, n))
+    g[anchors, :] += np.exp(logp_ds[anchors]) - q
+    g[:, anchors] += (np.exp(logp_sd[anchors]) - q).T
+    g /= 2.0 * u
+
+    d_drone = g @ emb_sat / tau
+    d_sat = g.T @ emb_drone / tau
+    d_tau = float(-(g * scores).sum() / tau)
+    return loss, d_sat, d_drone, d_tau

@@ -4,6 +4,7 @@ through main(argv), with exit codes, artifact bytes, and env overrides."""
 import filecmp
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +150,10 @@ class TestUsageAndExitCodes:
         ("ADAM_EPS", "0"),
         ("WEIGHT_DECAY", "nan"),
         ("PEAK_LR", "nan"),
+        ("TEMPERATURE", "inf"),
+        ("TEMPERATURE", "nan"),
+        ("ORIENTATION_WEIGHT", "nan"),
+        ("SEED", "x"),
     ])
     def test_bad_train_config_value_exits_2(self, pipeline, tmp_path, monkeypatch, capsys,
                                             key, value):
@@ -159,6 +164,33 @@ class TestUsageAndExitCodes:
         assert code == 2
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("env,argv", [
+        ({"SKYALIGN_NOISE_SIGMA": "nan"}, ["gen-data"]),
+        ({"SKYALIGN_SEED": "x"}, ["gen-data"]),
+        ({}, ["gen-labels", "--bins", "0"]),
+        ({}, ["gen-labels", "--bins", "1"]),
+        ({}, ["ablate-bins", "--bins", "4,1"]),
+        ({}, ["ablate-dim", "--dims", "0"]),
+    ], ids=["gen-data-noise-nan", "gen-data-seed-x", "gen-labels-bins-0",
+            "gen-labels-bins-1", "ablate-bins-1", "ablate-dim-0"])
+    def test_bad_value_for_other_commands_exits_2(self, pipeline, tmp_path, monkeypatch,
+                                                  capsys, env, argv):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        inputs = {
+            "gen-data": ["--config", pipeline["gen_cfg"]],
+            "gen-labels": ["--manifest", os.path.join(pipeline["data"], "manifest.csv")],
+            "ablate-bins": ["--config", pipeline["train_cfg"], "--data", pipeline["data"],
+                            "--seeds", "0"],
+            "ablate-dim": ["--config", pipeline["train_cfg"], "--data", pipeline["data"],
+                           "--seeds", "0"],
+        }[argv[0]]
+        out = tmp_path / "out"
+        code = main(argv + inputs + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--k", "0"],
@@ -239,7 +271,7 @@ class TestGenLabels:
                      os.path.join(FIXTURES, "poses_small.csv"),
                      "--bins", "8", "--out", str(out)]) == 0
         expected = os.path.join(FIXTURES, "labels_small_b8.csv")
-        assert out.read_bytes() == open(expected, "rb").read()
+        assert out.read_bytes() == Path(expected).read_bytes()
 
     def test_all_failed_means_all_masked(self, tmp_path):
         cfg = write_gen_cfg(tmp_path / "gen.cfg", n=4, views=2, fail=1.0)
@@ -282,7 +314,7 @@ class TestTrain:
         out = str(tmp_path / "run")
         assert main(["train", "--config", cfg, "--data", pipeline["data"],
                      "--out", out]) == 0
-        lines = open(os.path.join(out, "train_log.csv"), encoding="utf-8").read()
+        lines = Path(out, "train_log.csv").read_text(encoding="utf-8")
         rows = [line.split(",") for line in lines.strip().split("\n")[1:]]
         assert all(float(r[4]) == 0.0 for r in rows)
 
@@ -292,7 +324,7 @@ class TestTrain:
         out = str(tmp_path / "run")
         assert main(["train", "--config", pipeline["train_cfg"],
                      "--data", pipeline["data"], "--out", out]) == 0
-        lines = open(os.path.join(out, "train_log.csv"), encoding="utf-8").read()
+        lines = Path(out, "train_log.csv").read_text(encoding="utf-8")
         n_rows = len(lines.strip().split("\n")) - 1
         assert n_rows == 3  # ceil(20/8) = 3 batches, 1 epoch
 
@@ -345,7 +377,7 @@ class TestEmbed:
 
 class TestEval:
     def test_metrics_file_shape(self, pipeline):
-        lines = open(pipeline["metrics"], encoding="utf-8").read().strip().split("\n")
+        lines = Path(pipeline["metrics"]).read_text(encoding="utf-8").strip().split("\n")
         assert lines[0] == "metric,k,value"
         assert lines[1].startswith("recall,1,")
         assert lines[2].startswith("recall,5,")
@@ -426,7 +458,7 @@ class TestEnsemble:
                      "--relevance",
                      os.path.join(pipeline["data"], "relevance_drone2sat.csv"),
                      "--k", "1,5", "--out", str(out)]) == 0
-        assert out.read_bytes() == open(pipeline["metrics"], "rb").read()
+        assert out.read_bytes() == Path(pipeline["metrics"]).read_bytes()
 
     def test_two_model_fusion_runs(self, pipeline, tmp_path, capsys):
         out = tmp_path / "fused.csv"
@@ -447,7 +479,7 @@ class TestEnsemble:
                      "--k", "1", "--out", str(out)]) == 0
 
     def test_non_finite_score_exits_3(self, pipeline, tmp_path, capsys):
-        lines = open(pipeline["scores"], encoding="utf-8").read().split("\n")
+        lines = Path(pipeline["scores"]).read_text(encoding="utf-8").split("\n")
         cells = lines[3].split(",")
         cells[2] = "nan"
         lines[3] = ",".join(cells)

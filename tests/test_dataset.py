@@ -1,5 +1,7 @@
 """Generator, batch sampler, and aligned-rotation augmentation."""
 
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +19,7 @@ from skyalign.dataset import (
     save_features,
 )
 from skyalign.errors import BatchTooLarge, ConfigError, DataError
+from oracles import LoopBatchSampler, loop_aligned_rotation
 from skyalign.pose_geometry import LabelConfig, bin_of, generate_labels
 
 
@@ -187,20 +190,19 @@ class TestBatchSampler:
         sampler = BatchSampler(ds, 4, np.random.default_rng(0))
         batch = sampler.sample_batch()
         assert batch.size == 4
-        assert len(set(batch.building_ids)) == 4
+        buildings = ds.drone_building_idx[batch.drone_rows]
+        assert len(set(buildings.tolist())) == 4
         assert batch.sat_inputs.shape == batch.drone_inputs.shape
         # row i of both matrices belongs to the same building
-        for i, bid in enumerate(batch.building_ids):
-            b = ds.building_ids.index(bid)
+        for i, b in enumerate(buildings):
             assert np.array_equal(batch.sat_inputs[i], ds.sat_inputs[b])
-            drone_row = ds.drone_view_ids.index(batch.drone_view_ids[i])
-            assert ds.drone_building_idx[drone_row] == b
+            assert np.array_equal(batch.drone_inputs[i], ds.drone_inputs[batch.drone_rows[i]])
 
     def test_full_batch_covers_every_building(self):
         ds = self._dataset()
         sampler = BatchSampler(ds, ds.n_buildings, np.random.default_rng(1))
         batch = sampler.sample_batch()
-        assert sorted(batch.building_ids) == sorted(ds.building_ids)
+        assert sorted(ds.drone_building_idx[batch.drone_rows]) == list(range(ds.n_buildings))
 
     def test_epoch_partition(self):
         ds = self._dataset(n_buildings=10)
@@ -209,8 +211,8 @@ class TestBatchSampler:
         for _ in range(5):  # several epochs in a row
             seen = []
             for _ in range(sampler.batches_per_epoch):
-                seen.extend(sampler.sample_batch().building_ids)
-            assert sorted(seen) == sorted(ds.building_ids)
+                seen.extend(ds.drone_building_idx[sampler.sample_batch().drone_rows])
+            assert sorted(seen) == list(range(ds.n_buildings))
 
     def test_singleton_tail_folds(self):
         ds = self._dataset(n_buildings=9)
@@ -232,8 +234,7 @@ class TestBatchSampler:
         b = BatchSampler(ds, 3, np.random.default_rng(42))
         for _ in range(7):
             ba, bb = a.sample_batch(), b.sample_batch()
-            assert ba.building_ids == bb.building_ids
-            assert ba.drone_view_ids == bb.drone_view_ids
+            assert np.array_equal(ba.drone_rows, bb.drone_rows)
 
     def test_view_choice_uniform(self):
         # each building's drone views should be picked equally often in the
@@ -242,15 +243,13 @@ class TestBatchSampler:
         feats, _ = generate(cfg)
         ds = CrossViewDataset.from_features(feats, cfg.bins)
         sampler = BatchSampler(ds, 2, np.random.default_rng(123))
-        counts = {vid: 0 for vid in ds.drone_view_ids}
+        counts = np.zeros(len(ds.drone_view_ids), dtype=np.int64)
         epochs = 10_000
         for _ in range(epochs):
-            for vid in sampler.sample_batch().drone_view_ids:
-                counts[vid] += 1
+            counts[sampler.sample_batch().drone_rows] += 1
         crit = stats.chi2.ppf(0.99, df=cfg.views_per_building - 1)
         for b in range(2):
-            picks = [counts[vid] for i, vid in enumerate(ds.drone_view_ids)
-                     if ds.drone_building_idx[i] == b]
+            picks = counts[ds.drone_building_idx == b].tolist()
             assert sum(picks) == epochs
             expected = epochs / cfg.views_per_building
             chi2 = sum((p - expected) ** 2 / expected for p in picks)
@@ -264,7 +263,6 @@ class TestBatchSampler:
         for i in range(batch.size):
             if batch.mask[i]:
                 assert batch.orientation_bins[i] == -1
-                assert math.isnan(batch.drone_azimuth_deg[i])
                 assert math.isnan(batch.relative_angle_deg[i])
             else:
                 assert 0 <= batch.orientation_bins[i] < 8
@@ -279,8 +277,8 @@ class _ForcedRng:
     def random(self, n):
         return np.zeros(n)
 
-    def integers(self, low, high=None):
-        return self.k
+    def integers(self, low, high=None, size=None):
+        return np.full(size, self.k)
 
 
 class TestAlignedRotation:
@@ -289,17 +287,17 @@ class TestAlignedRotation:
         feats, _ = generate(cfg)
         ds = CrossViewDataset.from_features(feats, cfg.bins)
         sampler = BatchSampler(ds, cfg.n_buildings, np.random.default_rng(5))
-        return sampler.sample_batch(), LabelConfig(cfg.bins)
+        return sampler.sample_batch(), LabelConfig(cfg.bins), ds
 
     def test_p_zero_is_identity(self):
-        batch, cfg = self._batch()
+        batch, cfg, _ = self._batch()
         out = apply_aligned_rotation(batch, np.random.default_rng(0), 0.0, cfg)
         assert np.array_equal(out.sat_inputs, batch.sat_inputs)
         assert np.array_equal(out.orientation_bins, batch.orientation_bins)
         assert out is not batch
 
     def test_forced_single_step(self):
-        batch, _ = self._batch(bins=4)
+        batch, _, _ = self._batch(bins=4)
         cfg = LabelConfig(4)
         out = apply_aligned_rotation(batch, _ForcedRng(1), 1.0, cfg)
         for i in range(batch.size):
@@ -311,13 +309,13 @@ class TestAlignedRotation:
                 assert out.orientation_bins[i] == (batch.orientation_bins[i] + 1) % 4
 
     def test_masked_label_stays_sentinel(self):
-        batch, cfg = self._batch(fail_prob=1.0)
+        batch, cfg, _ = self._batch(fail_prob=1.0)
         out = apply_aligned_rotation(batch, _ForcedRng(2), 1.0, cfg)
         assert (out.orientation_bins == -1).all()
         assert (out.sat_angle_deg > 0).all()  # features still rotated
 
     def test_input_batch_untouched(self):
-        batch, cfg = self._batch()
+        batch, cfg, _ = self._batch()
         before = batch.sat_inputs.copy()
         bins_before = batch.orientation_bins.copy()
         apply_aligned_rotation(batch, np.random.default_rng(9), 1.0, cfg)
@@ -328,7 +326,7 @@ class TestAlignedRotation:
     def test_rotation_soundness(self, bins):
         # after any number of augmentations, the label still bins the true
         # relative orientation (drone azimuth minus satellite rotation)
-        batch, cfg = self._batch(bins=bins, fail_prob=0.2, seed=17)
+        batch, cfg, ds = self._batch(bins=bins, fail_prob=0.2, seed=17)
         rng = np.random.default_rng(99)
         for _ in range(3):  # stack several rotations
             batch = apply_aligned_rotation(batch, rng, 0.8, cfg)
@@ -336,8 +334,73 @@ class TestAlignedRotation:
             if batch.mask[i]:
                 continue
             rotation = (-batch.sat_angle_deg[i]) % 360.0
-            relative = (batch.drone_azimuth_deg[i] - rotation) % 360.0
+            relative = (ds.drone_azimuth_deg[batch.drone_rows[i]] - rotation) % 360.0
             label = batch.orientation_bins[i]
             width = cfg.bin_width_deg
             assert label * width <= relative < (label + 1) * width
             assert relative == pytest.approx(batch.relative_angle_deg[i] % 360.0, abs=1e-9)
+
+
+def _uneven_dataset(seed, max_views, fail_prob=0.3, bins=8):
+    """Ten buildings keeping 1..max_views drone views each."""
+    cfg = small_cfg(n_buildings=10, views_per_building=max_views, seed=seed,
+                    fail_prob=fail_prob, bins=bins)
+    feats, _ = generate(cfg)
+    keep = np.random.default_rng(seed).integers(1, max_views + 1, size=cfg.n_buildings)
+    kept, seen = [], {}
+    for f in feats:
+        if f.kind == "drone":
+            seen[f.building_id] = seen.get(f.building_id, 0) + 1
+            if seen[f.building_id] > keep[int(f.building_id[1:])]:
+                continue
+        kept.append(f)
+    return CrossViewDataset.from_features(kept, bins)
+
+
+def _assert_same(got, want):
+    for field in dataclasses.fields(got):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert a.dtype == b.dtype, field.name
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), field.name
+
+
+class TestMatchesLoopForms:
+    """Sampler and rotation equal their per-row loop forms exactly: same
+    arrays and the same generator state afterwards."""
+
+    @pytest.mark.parametrize("max_views", [1, 14])
+    def test_sampler(self, max_views):
+        for seed in range(40):
+            ds = _uneven_dataset(seed, max_views)
+            size = int(np.random.default_rng(seed).integers(2, ds.n_buildings + 1))
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            mine = BatchSampler(ds, size, rng_a)
+            ref = LoopBatchSampler(ds, size, rng_b)
+            for _ in range(2 * mine.batches_per_epoch + 1):
+                _assert_same(mine.sample_batch(), ref.sample_batch())
+                assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("bins", [2, 4, 8, 16, 32])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_rotation(self, bins, p):
+        cfg = LabelConfig(bins)
+        for seed in range(20):
+            ds = _uneven_dataset(seed, 5, bins=bins)
+            batch = BatchSampler(ds, ds.n_buildings, np.random.default_rng(seed)).sample_batch()
+            single = np.zeros(batch.size, dtype=bool)
+            single[seed % batch.size] = True
+            for mask in (batch.mask, single, ~single):
+                start = dataclasses.replace(
+                    batch, mask=mask,
+                    orientation_bins=np.where(mask, -1, ds.drone_bins[batch.drone_rows]),
+                    relative_angle_deg=np.where(mask, np.nan,
+                                                ds.drone_azimuth_deg[batch.drone_rows]))
+                untouched = copy.deepcopy(start)
+                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+                mine = ref = start
+                for _ in range(3):  # stacked rotations start from nonzero angles
+                    mine = apply_aligned_rotation(mine, rng_a, p, cfg)
+                    ref = loop_aligned_rotation(ref, rng_b, p, cfg)
+                    _assert_same(mine, ref)
+                    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+                _assert_same(start, untouched)

@@ -143,11 +143,9 @@ class TestForwardBackward:
             batch,
             sat_inputs=batch.sat_inputs[perm],
             drone_inputs=batch.drone_inputs[perm],
-            building_ids=[batch.building_ids[i] for i in perm],
+            drone_rows=batch.drone_rows[perm],
             orientation_bins=batch.orientation_bins[perm],
             mask=batch.mask[perm],
-            drone_view_ids=[batch.drone_view_ids[i] for i in perm],
-            drone_azimuth_deg=batch.drone_azimuth_deg[perm],
             sat_angle_deg=batch.sat_angle_deg[perm],
             relative_angle_deg=batch.relative_angle_deg[perm],
         )
@@ -163,11 +161,9 @@ class TestForwardBackward:
             batch,
             sat_inputs=np.vstack([batch.sat_inputs, batch.sat_inputs]),
             drone_inputs=np.vstack([batch.drone_inputs, batch.drone_inputs]),
-            building_ids=batch.building_ids + ["x0", "x1"],
+            drone_rows=np.arange(4),
             orientation_bins=np.concatenate([batch.orientation_bins] * 2),
             mask=np.concatenate([batch.mask] * 2),
-            drone_view_ids=batch.drone_view_ids + ["y0", "y1"],
-            drone_azimuth_deg=np.concatenate([batch.drone_azimuth_deg] * 2),
             sat_angle_deg=np.concatenate([batch.sat_angle_deg] * 2),
             relative_angle_deg=np.concatenate([batch.relative_angle_deg] * 2),
         )

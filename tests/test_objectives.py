@@ -167,6 +167,34 @@ class TestInfoNCE:
             assert directional == pytest.approx(float(grad[2] @ direction), rel=1e-5, abs=1e-9)
 
 
+def _masks(rng, n):
+    """No row, a random 30 %, a single row, and all but one row masked."""
+    single = np.zeros(n, dtype=bool)
+    single[rng.integers(n)] = True
+    return [np.zeros(n, dtype=bool), rng.random(n) < 0.3, single, ~single]
+
+
+class TestInfoNCEMatchesScatterForm:
+    """The dense gradient reproduces the index-scatter form bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 512])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_bit_identical(self, n, eps):
+        rng = np.random.default_rng([n, int(eps * 10)])
+        for _ in range(3):
+            emb_s = unit_rows(rng, n, 16)
+            emb_d = unit_rows(rng, n, 16)
+            tau = float(rng.uniform(0.05, 1.0))
+            for mask in _masks(rng, n):
+                if mask.all():
+                    continue
+                got = infonce_with_grad(emb_s, emb_d, mask, tau, eps)
+                want = oracles.scatter_infonce_with_grad(emb_s, emb_d, mask, tau, eps)
+                assert got[0] == want[0] and got[3] == want[3]
+                assert np.array_equal(got[1], want[1])
+                assert np.array_equal(got[2], want[2])
+
+
 class TestOrientationCE:
     def test_uniform_logits_give_log_b(self):
         for b in (2, 4, 8):
