@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -53,17 +54,13 @@ def _require_file(path) -> str:
     return path
 
 
-def _int_list(text: str) -> list[int]:
+def _int_list(text: str, flag: str, low: int) -> list[int]:
     try:
-        return [int(v) for v in text.split(",") if v.strip()]
+        values = [int(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
-
-
-def _positive_list(text: str, flag: str) -> list[int]:
-    values = _int_list(text)
-    if min(values, default=1) < 1:
-        raise ConfigError(f"{flag} values must be >= 1, got {text!r}")
+    if min(values, default=low) < low:
+        raise ConfigError(f"{flag} values must be >= {low}, got {text!r}")
     return values
 
 
@@ -75,9 +72,12 @@ def _bin_count(bins: int) -> int:
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"expected finite numbers, got {text!r}")
+    return values
 
 
 def cmd_gen_data(args) -> None:
@@ -147,7 +147,7 @@ def _load_query_gallery(args):
 
 
 def cmd_eval(args) -> None:
-    ks = _positive_list(args.k, "--k")
+    ks = _int_list(args.k, "--k", 1)
     gallery, queries = _load_query_gallery(args)
     relevance = read_relevance(_require_file(args.relevance))
     table = score_table(gallery, queries)
@@ -164,7 +164,7 @@ def cmd_eval(args) -> None:
 def cmd_ensemble(args) -> None:
     if len(args.scores) < 2:
         raise ConfigError("ensemble needs at least two score tables")
-    ks = _positive_list(args.k, "--k")
+    ks = _int_list(args.k, "--k", 1)
     tables = [ScoreTable.load(_require_file(p)) for p in args.scores]
     weights = _float_list(args.weights) if args.weights else None
     if weights is not None and len(weights) != len(tables):
@@ -182,7 +182,7 @@ def _sweep_inputs(args):
     cfg = configio.load_train_config(_require_file(args.config), {"seed": args.seed})
     features_path = _require_file(os.path.join(args.data, FEATURES_NAME))
     manifest = read_manifest(_require_file(os.path.join(args.data, MANIFEST_NAME)))
-    seeds = _int_list(args.seeds)
+    seeds = _int_list(args.seeds, "--seeds", 0)
     if not seeds:
         raise ConfigError("need at least one seed")
     return cfg, features_path, manifest, seeds
@@ -214,7 +214,7 @@ def cmd_ablate_bins(args) -> None:
 
 def cmd_ablate_dim(args) -> None:
     cfg, features_path, manifest, seeds = _sweep_inputs(args)
-    dims = _positive_list(args.dims, "--dims")
+    dims = _int_list(args.dims, "--dims", 1)
     if not dims:
         raise ConfigError("need at least one dim")
     rows = ablations.ablate_dim(features_path, manifest, cfg, dims, seeds)

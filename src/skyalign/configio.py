@@ -108,6 +108,8 @@ def resolve(values: dict[str, str], known: dict[str, type],
         for key, val in overrides.items():
             if val is not None:
                 out[key] = val
+    if out.get("seed", 0) < 0:
+        raise ConfigError(f"seed must be >= 0, got {out['seed']}")
     return out
 
 

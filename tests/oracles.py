@@ -4,7 +4,7 @@ The naive_* functions are plain term-by-term Python loops over math
 functions, deliberately independent of the vectorized numpy routes in the
 package.  Tests compare the two routes; neither is derived from the other.
 The loop-form references at the end are exact-equality references for the
-training batch path.
+training batch path and for top_k's block selection.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 from skyalign.dataset import BatchSampler, TrainBatch
 from skyalign.objectives import _log_softmax, _smoothed_ce_rows
 from skyalign.pose_geometry import rotate_label
+from skyalign.retrieval_eval import _block_candidates, _id_ordered, _merge
 
 
 def softmax_row(row):
@@ -207,3 +208,17 @@ def scatter_infonce_with_grad(emb_sat, emb_drone, mask, tau, eps):
     d_sat = g.T @ emb_drone / tau
     d_tau = float(-(g * scores).sum() / tau)
     return loss, d_sat, d_drone, d_tau
+
+
+def whole_block_topk(gallery, queries, k, gallery_block):
+    """top_k without the threshold filter: every gallery block's candidates
+    from _block_candidates, merged into the running list.  (ids, score
+    bytes) per query."""
+    gids, gmat = _id_ordered(gallery)
+    run_s = np.empty((len(queries.ids), 0), dtype=queries.matrix.dtype)
+    run_i = np.empty((len(queries.ids), 0), dtype=np.int64)
+    for c0 in range(0, gmat.shape[0], gallery_block):
+        scores = queries.matrix @ gmat[c0:c0 + gallery_block].T
+        cand_s, cand_i = _block_candidates(scores, c0, k)
+        run_s, run_i = _merge(run_s, run_i, cand_s, cand_i, k)
+    return [([gids[j] for j in row_i], row_s.tobytes()) for row_s, row_i in zip(run_s, run_i)]

@@ -154,6 +154,7 @@ class TestUsageAndExitCodes:
         ("TEMPERATURE", "nan"),
         ("ORIENTATION_WEIGHT", "nan"),
         ("SEED", "x"),
+        ("SEED", "-3"),
     ])
     def test_bad_train_config_value_exits_2(self, pipeline, tmp_path, monkeypatch, capsys,
                                             key, value):
@@ -171,8 +172,15 @@ class TestUsageAndExitCodes:
         ({}, ["gen-labels", "--bins", "1"]),
         ({}, ["ablate-bins", "--bins", "4,1"]),
         ({}, ["ablate-dim", "--dims", "0"]),
+        ({}, ["gen-data", "--seed", "-1"]),
+        ({"SKYALIGN_SEED": "-3"}, ["gen-data"]),
+        ({}, ["train", "--seed", "-2"]),
+        ({}, ["ablate-bins", "--seeds=-1"]),
+        ({}, ["ablate-dim", "--seeds=0,-1"]),
     ], ids=["gen-data-noise-nan", "gen-data-seed-x", "gen-labels-bins-0",
-            "gen-labels-bins-1", "ablate-bins-1", "ablate-dim-0"])
+            "gen-labels-bins-1", "ablate-bins-1", "ablate-dim-0", "gen-data-seed-flag-neg",
+            "gen-data-seed-env-neg", "train-seed-flag-neg", "ablate-bins-seeds-neg",
+            "ablate-dim-seeds-neg"])
     def test_bad_value_for_other_commands_exits_2(self, pipeline, tmp_path, monkeypatch,
                                                   capsys, env, argv):
         for key, value in env.items():
@@ -180,13 +188,14 @@ class TestUsageAndExitCodes:
         inputs = {
             "gen-data": ["--config", pipeline["gen_cfg"]],
             "gen-labels": ["--manifest", os.path.join(pipeline["data"], "manifest.csv")],
+            "train": ["--config", pipeline["train_cfg"], "--data", pipeline["data"]],
             "ablate-bins": ["--config", pipeline["train_cfg"], "--data", pipeline["data"],
                             "--seeds", "0"],
             "ablate-dim": ["--config", pipeline["train_cfg"], "--data", pipeline["data"],
                            "--seeds", "0"],
         }[argv[0]]
         out = tmp_path / "out"
-        code = main(argv + inputs + ["--out", str(out)])
+        code = main(argv[:1] + inputs + argv[1:] + ["--out", str(out)])  # argv's flags win
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error: ") and err.count("\n") == 1
@@ -197,6 +206,10 @@ class TestUsageAndExitCodes:
         ["eval", "--k", "1,-5"],
         ["eval", "--dim", "0"],
         ["ensemble", "--k", "0"],
+        ["ensemble", "--weights", "0.5,nan"],
+        ["ensemble", "--weights", "0.5,inf"],
+        ["ensemble", "--weights", "0.5,nan", "--fusion", "reciprocal-rank"],
+        ["ensemble", "--weights", "0.5,inf", "--fusion", "reciprocal-rank"],
     ])
     def test_bad_retrieval_option_exits_2(self, pipeline, tmp_path, capsys, argv):
         rel = os.path.join(pipeline["data"], "relevance_drone2sat.csv")
@@ -209,6 +222,13 @@ class TestUsageAndExitCodes:
         assert code == 2
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not (tmp_path / "m.csv").exists()
+
+    def test_negative_seed_in_config_file_exits_2(self, tmp_path, capsys):
+        cfg = write_gen_cfg(tmp_path / "gen.cfg", seed=-1)
+        code = main(["gen-data", "--config", cfg, "--out", str(tmp_path / "d")])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "d").exists()
 
     def test_non_finite_features_exit_3(self, pipeline, tmp_path, capsys):
         ids, kinds, vectors, azimuths, masked = binio.read_features(
@@ -491,6 +511,18 @@ class TestEnsemble:
                      "--out", str(tmp_path / "m.csv")])
         assert code == 3
         assert f"{bad}:4: score is not finite" in capsys.readouterr().err
+
+    def test_header_only_table_exits_3(self, pipeline, tmp_path, capsys):
+        header = Path(pipeline["scores"]).read_text(encoding="utf-8").split("\n")[0]
+        bad = tmp_path / "scores_empty.csv"
+        bad.write_text(header + "\n", encoding="utf-8")
+        code = main(["ensemble", "--scores", pipeline["scores"], str(bad),
+                     "--relevance",
+                     os.path.join(pipeline["data"], "relevance_drone2sat.csv"),
+                     "--out", str(tmp_path / "m.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == \
+            f"data error: {bad}: no query rows or no gallery columns\n"
 
     def test_weight_count_mismatch_exits_2(self, pipeline, tmp_path):
         code = main(["ensemble", "--scores", pipeline["scores"], pipeline["scores2"],

@@ -12,6 +12,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skyalign import binio, retrieval_eval
 from skyalign.errors import (
@@ -43,7 +44,7 @@ from skyalign.retrieval_eval import (
     write_relevance,
 )
 
-from oracles import naive_average_precision, naive_recall_at_k, naive_topk
+from oracles import naive_average_precision, naive_recall_at_k, naive_topk, whole_block_topk
 
 
 def dyadic_set(rng, n, dim, prefix):
@@ -254,6 +255,131 @@ class TestTopKExactness:
         assert ta.gallery_ids == tb.gallery_ids and ta.scores.tobytes() == tb.scores.tobytes()
 
 
+def eighths(ids, rows):
+    """An embedding set of small-integer rows scaled by 1/8: exact scores."""
+    return EmbeddingSet(list(ids), (np.asarray(rows, dtype=float) / 8).astype(np.float32))
+
+
+def assert_exact(gallery, queries, k, gallery_block, **kw):
+    """top_k equals the exhaustive oracle and, bit for bit, the unfiltered
+    block selection."""
+    got = top_k(gallery, queries, k, gallery_block=gallery_block, **kw)
+    for r, q in zip(got, queries.matrix):
+        exp = naive_topk(gallery.ids, [list(map(float, g)) for g in gallery.matrix],
+                         list(map(float, q)), k)
+        assert r.gallery_ids == [gid for gid, _ in exp]
+        assert [float(s) for s in r.scores] == [s for _, s in exp]
+    assert [(r.gallery_ids, r.scores.tobytes()) for r in got] == \
+        whole_block_topk(gallery, queries, k, gallery_block)
+
+
+@pytest.fixture
+def block_paths(monkeypatch):
+    """Calls of each selection path: 'whole' blocks through
+    _block_candidates, 'hits' blocks merged from their threshold hits."""
+    calls = {"whole": [], "hits": []}
+    whole, hits = retrieval_eval._block_candidates, retrieval_eval._hit_candidates
+
+    def count_whole(*args):
+        calls["whole"].append(1)  # list.append is atomic across worker threads
+        return whole(*args)
+
+    def count_hits(*args):
+        calls["hits"].append(1)
+        return hits(*args)
+
+    monkeypatch.setattr(retrieval_eval, "_block_candidates", count_whole)
+    monkeypatch.setattr(retrieval_eval, "_hit_candidates", count_hits)
+    return calls
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+class TestThresholdFilter:
+    """After a query block's running list holds k entries, later gallery
+    blocks are reduced to the scores strictly above each row's k-th."""
+
+    def test_scores_equal_to_the_kth_do_not_enter(self, block_paths, workers):
+        # q0 scores the first coordinate, q1 the second; after block 0 both
+        # rows' k-th is 1/8, and blocks 1-2 reach it but never pass it
+        a = [4, 1, 3, 1, 1, 1, 0, 1, 1, 0, 1, 1]
+        b = [1, 3, 3, 0, 1, 0, 1, 1, 0, 0, 1, 0]
+        gallery = eighths([f"g{i:02d}" for i in range(12)], list(zip(a, b)))
+        queries = eighths(["q0", "q1"], [[1, 0], [0, 1]])
+        assert_exact(gallery, queries, 3, 4, query_block=1, workers=workers)
+        got = top_k(gallery, queries, 3, gallery_block=4, workers=workers)
+        assert [r.gallery_ids for r in got] == [["g00", "g02", "g01"], ["g01", "g02", "g00"]]
+        block_paths["whole"].clear()
+        block_paths["hits"].clear()
+        top_k(gallery, queries, 3, gallery_block=4, query_block=1, workers=workers)
+        assert len(block_paths["whole"]) == 2 and not block_paths["hits"]
+
+    def test_row_with_more_than_k_hits_in_a_late_block(self, block_paths, workers):
+        # block 2 gives the last query five hits, four of them tied at 2/8,
+        # of which only the two smallest ids fit; the other rows get none
+        a = [1, 1, 1, 0, 0, 0] + [0] * 6 + [2, 3, 2, 2, 0, 2]
+        b = [1, 1, 1, 1, 0, 0] + [0] * 12
+        gallery = eighths([f"g{i:02d}" for i in range(18)], list(zip(a, b)))
+        queries = eighths([f"q{i}" for i in range(4)], [[0, 1]] * 3 + [[1, 0]])
+        assert_exact(gallery, queries, 3, 6, workers=workers)
+        block_paths["whole"].clear()
+        block_paths["hits"].clear()
+        got = top_k(gallery, queries, 3, gallery_block=6, workers=workers)
+        assert got[3].gallery_ids == ["g13", "g12", "g14"]
+        assert len(block_paths["whole"]) == 1 and len(block_paths["hits"]) == 1
+
+    @pytest.mark.parametrize("quiet_lead", [False, True])
+    def test_rising_scores_take_the_whole_block_path(self, block_paths, workers, quiet_lead):
+        # scores rise with gallery id, so every block passes the k-th of
+        # every row; with quiet_lead the first rows tie at 0 and only the
+        # count over all rows sees the overflow
+        gallery = eighths([f"g{i:02d}" for i in range(48)], [[i + 1, 0] for i in range(48)])
+        qrows = [[1, 0]] * 16
+        if quiet_lead:
+            qrows[:2] = [[0, 1]] * 2
+        queries = eighths([f"q{i:02d}" for i in range(16)], qrows)
+        assert_exact(gallery, queries, 2, 8, workers=workers)
+        block_paths["whole"].clear()
+        block_paths["hits"].clear()
+        top_k(gallery, queries, 2, gallery_block=8, workers=workers)
+        assert len(block_paths["whole"]) == 6 and not block_paths["hits"]
+
+    @pytest.mark.parametrize("k,gallery_block", [(5, 1), (5, 2), (50, 7), (61, 4096)])
+    def test_short_blocks_and_k_beyond_the_gallery(self, block_paths, workers, k, gallery_block):
+        rng = np.random.default_rng(11)
+        gallery = eighths([f"g{i:02d}" for i in rng.permutation(60)],
+                          rng.integers(-2, 3, size=(60, 3)))
+        queries = eighths([f"q{i:02d}" for i in range(9)], rng.integers(-2, 3, size=(9, 3)))
+        assert_exact(gallery, queries, k, gallery_block, query_block=4, workers=workers)
+        block_paths["whole"].clear()
+        block_paths["hits"].clear()
+        top_k(gallery, queries, k, gallery_block=gallery_block, query_block=4, workers=workers)
+        n_blocks = -(-60 // gallery_block)
+        if k > 60:  # the running list never fills, so no block is filtered
+            assert len(block_paths["whole"]) == 3 * n_blocks and not block_paths["hits"]
+        else:  # each of the 3 query blocks fills after ceil(k / gallery_block) blocks
+            assert len(block_paths["whole"]) == 3 * -(-k // gallery_block)
+            assert block_paths["hits"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_threshold_filter_matches_oracle_on_tie_heavy_galleries(data):
+    n_g = data.draw(st.integers(1, 40), "n_g")
+    n_q = data.draw(st.integers(1, 8), "n_q")
+    dim = data.draw(st.integers(1, 3), "dim")
+    cells = st.integers(-2, 2)
+    grows = data.draw(st.lists(st.lists(cells, min_size=dim, max_size=dim),
+                               min_size=n_g, max_size=n_g), "gallery")
+    qrows = data.draw(st.lists(st.lists(cells, min_size=dim, max_size=dim),
+                               min_size=n_q, max_size=n_q), "queries")
+    order = data.draw(st.permutations(range(n_g)), "gallery ids")
+    gallery = eighths([f"g{i:02d}" for i in order], grows)
+    queries = eighths([f"q{i}" for i in range(n_q)], qrows)
+    assert_exact(gallery, queries, data.draw(st.integers(1, 12), "k"),
+                 data.draw(st.integers(1, 16), "gallery_block"),
+                 query_block=data.draw(st.integers(1, 8), "query_block"))
+
+
 def ranked(ids, scores=None):
     if scores is None:
         scores = np.linspace(1.0, 0.0, num=len(ids))
@@ -375,6 +501,13 @@ class TestScoreTable:
         with pytest.raises(DataError):
             ScoreTable.load(path)
 
+    @pytest.mark.parametrize("text", ["query_id,g0,g1\n", "query_id\nq0\n", "query_id\n"])
+    def test_no_rows_or_no_columns_rejected(self, tmp_path, text):
+        path = tmp_path / "scores.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match="no query rows or no gallery columns"):
+            ScoreTable.load(path)
+
     @pytest.mark.parametrize("text", ["query_id,g0,g0\nq0,1.0,0.5\n",
                                       "query_id,g0\nq0,1.0\nq0,0.5\n"])
     def test_duplicate_ids_rejected(self, tmp_path, text):
@@ -441,6 +574,13 @@ class TestEnsemble:
         t = table(["q"], ["g0"], [[1.0]])
         with pytest.raises(DataError):
             ensemble([t, t], weights=[1.0, -1.0])
+
+    @pytest.mark.parametrize("fusion", ["score-mean", "reciprocal-rank"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weight_rejected(self, fusion, bad):
+        t = table(["q"], ["g0", "g1"], [[1.0, 0.0]])
+        with pytest.raises(DataError, match="finite"):
+            fuse([t, t], weights=[0.5, bad], fusion=fusion)
 
     def test_unknown_fusion_rejected(self):
         t = table(["q"], ["g0"], [[1.0]])
