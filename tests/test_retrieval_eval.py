@@ -262,7 +262,7 @@ def eighths(ids, rows):
 
 def assert_exact(gallery, queries, k, gallery_block, **kw):
     """top_k equals the exhaustive oracle and, bit for bit, the unfiltered
-    block selection."""
+    block selection (which calls the helpers block_paths does not count)."""
     got = top_k(gallery, queries, k, gallery_block=gallery_block, **kw)
     for r, q in zip(got, queries.matrix):
         exp = naive_topk(gallery.ids, [list(map(float, g)) for g in gallery.matrix],
@@ -271,6 +271,7 @@ def assert_exact(gallery, queries, k, gallery_block, **kw):
         assert [float(s) for s in r.scores] == [s for _, s in exp]
     assert [(r.gallery_ids, r.scores.tobytes()) for r in got] == \
         whole_block_topk(gallery, queries, k, gallery_block)
+    return got
 
 
 @pytest.fixture
@@ -305,12 +306,8 @@ class TestThresholdFilter:
         b = [1, 3, 3, 0, 1, 0, 1, 1, 0, 0, 1, 0]
         gallery = eighths([f"g{i:02d}" for i in range(12)], list(zip(a, b)))
         queries = eighths(["q0", "q1"], [[1, 0], [0, 1]])
-        assert_exact(gallery, queries, 3, 4, query_block=1, workers=workers)
-        got = top_k(gallery, queries, 3, gallery_block=4, workers=workers)
+        got = assert_exact(gallery, queries, 3, 4, query_block=1, workers=workers)
         assert [r.gallery_ids for r in got] == [["g00", "g02", "g01"], ["g01", "g02", "g00"]]
-        block_paths["whole"].clear()
-        block_paths["hits"].clear()
-        top_k(gallery, queries, 3, gallery_block=4, query_block=1, workers=workers)
         assert len(block_paths["whole"]) == 2 and not block_paths["hits"]
 
     def test_row_with_more_than_k_hits_in_a_late_block(self, block_paths, workers):
@@ -320,10 +317,7 @@ class TestThresholdFilter:
         b = [1, 1, 1, 1, 0, 0] + [0] * 12
         gallery = eighths([f"g{i:02d}" for i in range(18)], list(zip(a, b)))
         queries = eighths([f"q{i}" for i in range(4)], [[0, 1]] * 3 + [[1, 0]])
-        assert_exact(gallery, queries, 3, 6, workers=workers)
-        block_paths["whole"].clear()
-        block_paths["hits"].clear()
-        got = top_k(gallery, queries, 3, gallery_block=6, workers=workers)
+        got = assert_exact(gallery, queries, 3, 6, workers=workers)
         assert got[3].gallery_ids == ["g13", "g12", "g14"]
         assert len(block_paths["whole"]) == 1 and len(block_paths["hits"]) == 1
 
@@ -338,9 +332,6 @@ class TestThresholdFilter:
             qrows[:2] = [[0, 1]] * 2
         queries = eighths([f"q{i:02d}" for i in range(16)], qrows)
         assert_exact(gallery, queries, 2, 8, workers=workers)
-        block_paths["whole"].clear()
-        block_paths["hits"].clear()
-        top_k(gallery, queries, 2, gallery_block=8, workers=workers)
         assert len(block_paths["whole"]) == 6 and not block_paths["hits"]
 
     @pytest.mark.parametrize("k,gallery_block", [(5, 1), (5, 2), (50, 7), (61, 4096)])
@@ -350,9 +341,6 @@ class TestThresholdFilter:
                           rng.integers(-2, 3, size=(60, 3)))
         queries = eighths([f"q{i:02d}" for i in range(9)], rng.integers(-2, 3, size=(9, 3)))
         assert_exact(gallery, queries, k, gallery_block, query_block=4, workers=workers)
-        block_paths["whole"].clear()
-        block_paths["hits"].clear()
-        top_k(gallery, queries, k, gallery_block=gallery_block, query_block=4, workers=workers)
         n_blocks = -(-60 // gallery_block)
         if k > 60:  # the running list never fills, so no block is filtered
             assert len(block_paths["whole"]) == 3 * n_blocks and not block_paths["hits"]
