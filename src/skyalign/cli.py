@@ -3,7 +3,8 @@
 Subcommands cover the full pipeline: synthesize data, derive pseudo-labels,
 train, embed, evaluate, ensemble, and run the two ablation sweeps.  Exit
 codes: 0 success, 2 usage or config problem, 3 data problem, 4 numeric
-failure.
+failure.  A file that cannot be opened, read or written (an OSError) also
+exits 3, with the one line ``io error: <strerror>: <filename>``.
 """
 
 from __future__ import annotations
@@ -320,6 +321,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        print(f"io error: {exc.strerror or exc}: {exc.filename}", file=sys.stderr)
+        return 3
     return 0
 
 

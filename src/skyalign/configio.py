@@ -10,7 +10,7 @@ import math
 import os
 
 from .dataset import GenConfig
-from .errors import ConfigError
+from .errors import ConfigError, open_text
 from .objectives import ORIENTATION_MODES, LossConfig
 from .trainer import TrainConfig
 
@@ -54,7 +54,7 @@ def parse_flat_file(path) -> dict[str, str]:
     """Read `key = value` lines; # starts a comment, blank lines ignored."""
     values: dict[str, str] = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path, ConfigError) as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None

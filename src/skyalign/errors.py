@@ -4,6 +4,8 @@ Three broad families map onto CLI exit codes: ConfigError -> 2,
 DataError -> 3, NumericError -> 4.
 """
 
+from contextlib import contextmanager
+
 
 class SkyalignError(Exception):
     """Base class for all package errors."""
@@ -63,3 +65,14 @@ class NormDegenerate(NumericError):
 
 class NonFiniteLoss(NumericError):
     """Training produced a NaN or infinite loss."""
+
+
+@contextmanager
+def open_text(path, error=DataError):
+    """Open path as UTF-8 text for csv; a byte that does not decode, wherever
+    the reader meets it, raises error naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise error(f"{path}: not UTF-8 text") from None

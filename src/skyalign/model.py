@@ -141,18 +141,20 @@ def _backprop_branch(params: ModelParams, cache, d_emb: np.ndarray):
     return d_w1, d_b1, d_w2, d_b2
 
 
-def forward_backward(params: ModelParams, batch: TrainBatch, cfg: LossConfig):
+def forward_backward(params: ModelParams, batch: TrainBatch, cfg: LossConfig,
+                     work: dict | None = None):
     """Joint loss and its exact analytic gradients.
 
     Returns (total, Gradients, parts) where parts = (contrastive,
     orientation).  The temperature gradient is always the true derivative;
-    whether it is applied is the optimizer's decision.
+    whether it is applied is the optimizer's decision.  work is passed to
+    infonce_with_grad, which keeps its n x n buffers there between steps.
     """
     emb_sat, cache_sat = _forward(params, np.asarray(batch.sat_inputs, dtype=float))
     emb_drone, cache_drone = _forward(params, np.asarray(batch.drone_inputs, dtype=float))
 
     l_con, d_sat, d_drone, d_tau = infonce_with_grad(
-        emb_sat, emb_drone, batch.mask, params.temperature, cfg.smoothing
+        emb_sat, emb_drone, batch.mask, params.temperature, cfg.smoothing, work
     )
 
     l_orient = 0.0

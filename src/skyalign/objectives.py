@@ -5,6 +5,24 @@ Masking semantics: a masked row never anchors a cross-entropy term, but its
 embedding stays in every softmax denominator, so noisy samples still act as
 negatives.  Orientation terms skip masked rows entirely; their logit and
 prediction gradients are exactly zero.
+
+InfoNCE workspace: infonce_with_grad writes its n x n temporaries (scores,
+row-shifted logits, column-shifted logits, exp scratch) into four buffers
+kept in a caller's ``work`` dict under the key n, so a training run pays
+for fresh n x n blocks and their page faults once per batch size instead
+of on every step.  trainer.train owns one dict per run, so the buffers are
+freed before embed and eval.  They are four blocks, not one (4, n, n)
+array: numpy advises blocks of 4 MB and more onto huge pages, and the
+later stages' heap then stayed on them, raising peak RSS.
+
+Summation order: the loss and gradients keep the bits of the form that
+reduced ``_log_softmax(S)`` and ``_log_softmax(S.T)`` with fresh arrays.
+Row reductions of a C-ordered array are pairwise per row; reducing the
+F-ordered S.T along its rows adds the rows of S one after another, which
+is what ``sum(axis=0)`` does on C-ordered S.  The sat-anchor CE row sums
+were pairwise over gathered rows, so they are taken from a C-ordered copy
+of the transposed logits.  Max, exp and the elementwise gradient steps are
+order-free; the diagonal target is one rounded scalar.
 """
 
 from __future__ import annotations
@@ -48,22 +66,30 @@ def _log_softmax(scores: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+def _smoothed_ce(row_sums: np.ndarray, target_logp: np.ndarray, c: int,
+                 eps: float) -> np.ndarray:
+    """Row CE from each row's logp sum and its target logp."""
+    return -(eps / c) * row_sums - (1.0 - eps) * target_logp
+
+
 def _smoothed_ce_rows(logp: np.ndarray, targets: np.ndarray, eps: float) -> np.ndarray:
     """Row CE against q = eps/C + (1-eps)*onehot(target), C = column count."""
     n, c = logp.shape
-    rows = np.arange(n)
-    return -(eps / c) * logp.sum(axis=1) - (1.0 - eps) * logp[rows, targets]
+    return _smoothed_ce(logp.sum(axis=1), logp[np.arange(n), targets], c, eps)
 
 
 def infonce_with_grad(emb_sat: np.ndarray, emb_drone: np.ndarray, mask: np.ndarray,
-                      tau: float, eps: float):
+                      tau: float, eps: float, work: dict | None = None):
     """Masked, smoothed, symmetric InfoNCE.
 
     Returns (loss, d_emb_sat, d_emb_drone, d_tau).  Row i of both matrices
     is the positive pair for building i.  S = drone . sat^T / tau; the
     drone->sat direction anchors on unmasked rows of S, the sat->drone
-    direction on unmasked rows of S^T; every row and column stays in all
+    direction on unmasked columns of S; every row and column stays in all
     denominators.  Loss is the mean over the 2U unmasked anchor terms.
+
+    work, if given, holds the n x n buffers between calls (see the module
+    docstring); the returned arrays never share memory with it.
     """
     n = emb_sat.shape[0]
     if n < 2:
@@ -76,29 +102,44 @@ def infonce_with_grad(emb_sat: np.ndarray, emb_drone: np.ndarray, mask: np.ndarr
     if u == 0:
         raise AllMasked("every row of the batch is masked; no anchor terms remain")
 
-    scores = emb_drone @ emb_sat.T / tau
-    logp_ds = _log_softmax(scores)          # drone anchors vs sat columns
-    logp_sd = _log_softmax(scores.T)        # sat anchors vs drone columns
+    if work is None:
+        work = {}
+    if n not in work:
+        work[n] = [np.empty((n, n)) for _ in range(4)]
+    scores, ds, sd, ex = work[n]
+    np.matmul(emb_drone, emb_sat.T, out=scores)
+    scores /= tau
+    # drone anchors: log-softmax along the rows of S
+    np.subtract(scores, scores.max(axis=1, keepdims=True), out=ds)
+    ds -= np.log(np.exp(ds, out=ex).sum(axis=1, keepdims=True))
+    # sat anchors: log-softmax down the columns of S; sum(axis=0) adds the
+    # rows one after another, the order in which S.T reduces along its rows
+    np.subtract(scores, scores.max(axis=0), out=sd)
+    sd -= np.log(np.exp(sd, out=ex).sum(axis=0))
 
-    ce_ds = _smoothed_ce_rows(logp_ds[anchors], anchors, eps)
-    ce_sd = _smoothed_ce_rows(logp_sd[anchors], anchors, eps)
+    # a gathered row is summed pairwise: sum the C-ordered rows of sd.T
+    np.copyto(ex, sd.T)
+    ce_ds = _smoothed_ce(ds.sum(axis=1)[anchors], ds[anchors, anchors], n, eps)
+    ce_sd = _smoothed_ce(ex.sum(axis=1)[anchors], sd[anchors, anchors], n, eps)
     loss = float((ce_ds.sum() + ce_sd.sum()) / (2.0 * u))
 
-    # dCE/drow for an anchor row is softmax - target; weight 1/(2U).  The
-    # diagonal target is rounded once: two separate subtractions move bits.
-    q = np.full((n, n), eps / n)
-    np.fill_diagonal(q, eps / n + (1.0 - eps))
-    g = np.exp(logp_ds, out=logp_ds)  # in place: the loss no longer needs logp
-    g -= q
-    g_sd = np.exp(logp_sd, out=logp_sd)
-    g_sd -= q
-    g[masked] = g_sd[masked] = 0.0
-    g += g_sd.T
-    g /= 2.0 * u
+    # dCE/dlogit for an anchor is softmax - target, weight 1/(2U).  The
+    # diagonal target eps/n + (1 - eps) is rounded once and subtracted from
+    # exp(l_ii) in one step: two separate subtractions move bits.
+    off, on = eps / n, eps / n + (1.0 - eps)
+    for g in (ds, sd):
+        np.exp(g, out=g)
+        diag = g.diagonal() - on
+        g -= off
+        np.fill_diagonal(g, diag)
+    ds[masked] = 0.0
+    sd[:, masked] = 0.0
+    ds += sd
+    ds /= 2.0 * u
 
-    d_drone = g @ emb_sat / tau
-    d_sat = g.T @ emb_drone / tau
-    d_tau = float(-(g * scores).sum() / tau)
+    d_drone = ds @ emb_sat / tau
+    d_sat = ds.T @ emb_drone / tau
+    d_tau = float(-np.multiply(ds, scores, out=scores).sum() / tau)
     return loss, d_sat, d_drone, d_tau
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import DegenerateAzimuth, ManifestError
+from .errors import DegenerateAzimuth, ManifestError, open_text
 
 KIND_SAT = "sat"
 KIND_DRONE = "drone"
@@ -163,7 +163,7 @@ def generate_labels(manifest: Iterable[PoseRecord], cfg: LabelConfig) -> list[Or
 def read_manifest(path) -> list[PoseRecord]:
     """Read a pose manifest CSV (header view_id,building_id,kind,x,y,z,status)."""
     records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, ManifestError) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -220,7 +220,7 @@ def write_labels(labels: Iterable[OrientationLabel], path) -> None:
 
 def read_labels(path) -> list[OrientationLabel]:
     labels = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, ManifestError) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != LABEL_HEADER:

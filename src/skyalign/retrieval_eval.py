@@ -42,6 +42,7 @@ from .errors import (
     IdMismatch,
     NormDegenerate,
     UnknownQuery,
+    open_text,
 )
 
 DEFAULT_GALLERY_BLOCK = 8192
@@ -297,7 +298,7 @@ class ScoreTable:
 
     @classmethod
     def load(cls, path) -> "ScoreTable":
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open_text(path) as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if not header or header[0] != "query_id":
@@ -395,7 +396,7 @@ def ensemble(tables: list[ScoreTable], weights: list[float] | None = None,
 def read_relevance(path) -> dict[str, set[str]]:
     """CSV of query_id,gallery_id pairs -> query id to relevant-set map."""
     rel: dict[str, set[str]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["query_id", "gallery_id"]:

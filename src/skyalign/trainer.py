@@ -131,7 +131,8 @@ def train(cfg: TrainConfig, dataset: CrossViewDataset) -> tuple[ModelParams, lis
     """Full run: sample -> rotate -> forward/backward -> AdamW, per step.
 
     Deterministic for fixed (cfg, dataset): same seed gives bit-identical
-    parameters and logs.
+    parameters and logs.  The InfoNCE buffers live in this call's work dict,
+    so they are freed when training returns.
     """
     init_rng = np.random.default_rng([cfg.seed, 1])
     sampler_rng = np.random.default_rng([cfg.seed, 2])
@@ -146,11 +147,12 @@ def train(cfg: TrainConfig, dataset: CrossViewDataset) -> tuple[ModelParams, lis
     total_steps = cfg.epochs * sampler.batches_per_epoch
     state = OptimizerState.fresh(params)
     log: list[TrainLogRow] = []
+    work: dict = {}
     for step in range(total_steps):
         batch = sampler.sample_batch()
         batch = apply_aligned_rotation(batch, aug_rng, cfg.rotation_prob, label_cfg)
         lr = lr_at(step, total_steps, cfg)
-        total, grads, (l_con, l_orient) = forward_backward(params, batch, cfg.loss)
+        total, grads, (l_con, l_orient) = forward_backward(params, batch, cfg.loss, work)
         if not math.isfinite(total):
             raise NonFiniteLoss(f"loss {total} at step {step}")
         params, state = adamw_step(params, grads, state, lr, cfg)

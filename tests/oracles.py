@@ -4,7 +4,8 @@ The naive_* functions are plain term-by-term Python loops over math
 functions, deliberately independent of the vectorized numpy routes in the
 package.  Tests compare the two routes; neither is derived from the other.
 The loop-form references at the end are exact-equality references for the
-training batch path and for top_k's block selection.
+training batch path, for InfoNCE's gradient and for top_k's block
+selection.
 """
 
 from __future__ import annotations
@@ -202,6 +203,40 @@ def scatter_infonce_with_grad(emb_sat, emb_drone, mask, tau, eps):
     g = np.zeros((n, n))
     g[anchors, :] += np.exp(logp_ds[anchors]) - q
     g[:, anchors] += (np.exp(logp_sd[anchors]) - q).T
+    g /= 2.0 * u
+
+    d_drone = g @ emb_sat / tau
+    d_sat = g.T @ emb_drone / tau
+    d_tau = float(-(g * scores).sum() / tau)
+    return loss, d_sat, d_drone, d_tau
+
+
+def dense_infonce_with_grad(emb_sat, emb_drone, mask, tau, eps):
+    """InfoNCE with the dense in-place gradient and freshly allocated n x n
+    temporaries; the sat->drone softmax reduces the F-ordered scores.T."""
+    n = emb_sat.shape[0]
+    masked = np.asarray(mask, dtype=bool)
+    anchors = np.nonzero(~masked)[0]
+    u = anchors.size
+
+    scores = emb_drone @ emb_sat.T / tau
+    logp_ds = _log_softmax(scores)          # drone anchors vs sat columns
+    logp_sd = _log_softmax(scores.T)        # sat anchors vs drone columns
+
+    ce_ds = _smoothed_ce_rows(logp_ds[anchors], anchors, eps)
+    ce_sd = _smoothed_ce_rows(logp_sd[anchors], anchors, eps)
+    loss = float((ce_ds.sum() + ce_sd.sum()) / (2.0 * u))
+
+    # dCE/drow for an anchor row is softmax - target; weight 1/(2U).  The
+    # diagonal target is rounded once: two separate subtractions move bits.
+    q = np.full((n, n), eps / n)
+    np.fill_diagonal(q, eps / n + (1.0 - eps))
+    g = np.exp(logp_ds, out=logp_ds)  # in place: the loss no longer needs logp
+    g -= q
+    g_sd = np.exp(logp_sd, out=logp_sd)
+    g_sd -= q
+    g[masked] = g_sd[masked] = 0.0
+    g += g_sd.T
     g /= 2.0 * u
 
     d_drone = g @ emb_sat / tau

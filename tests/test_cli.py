@@ -244,6 +244,67 @@ class TestUsageAndExitCodes:
         assert f"{data / 'features.bin'}: record 5: vector is not finite" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("argv,code", [
+        (["gen-data", "--config", "{bin}", "--out", "{tmp}/d"], 2),
+        (["train", "--config", "{bin}", "--data", "{data}", "--out", "{tmp}/r"], 2),
+        (["gen-labels", "--manifest", "{bin}", "--bins", "8", "--out", "{tmp}/l.csv"], 3),
+        (["train", "--config", "{cfg}", "--data", "{tmp}/bad", "--out", "{tmp}/r"], 3),
+        (["eval", "--gallery", "{sat}", "--queries", "{drone}", "--relevance", "{bin}",
+          "--out", "{tmp}/m.csv"], 3),
+        (["ensemble", "--scores", "{scores}", "{bin}", "--relevance", "{rel}",
+          "--out", "{tmp}/m.csv"], 3),
+    ], ids=["gen-data-config", "train-config", "gen-labels-manifest", "train-manifest",
+            "eval-relevance", "ensemble-scores"])
+    def test_non_utf8_text_input_exits_cleanly(self, pipeline, tmp_path, capsys, argv, code):
+        features = os.path.join(pipeline["data"], "features.bin")
+        bad = tmp_path / "bad"  # a data directory whose manifest is binary
+        bad.mkdir()
+        shutil.copy(features, bad / "features.bin")
+        shutil.copy(features, bad / "manifest.csv")
+        names = {"bin": features, "tmp": str(tmp_path), "data": pipeline["data"],
+                 "cfg": pipeline["train_cfg"], "sat": pipeline["emb"]["sat"],
+                 "drone": pipeline["emb"]["drone"], "scores": pipeline["scores"],
+                 "rel": os.path.join(pipeline["data"], "relevance_drone2sat.csv")}
+        assert main([a.format(**names) for a in argv]) == code
+        err = capsys.readouterr().err
+        prefix = "config error: " if code == 2 else "data error: "
+        assert err.startswith(prefix) and err.endswith(": not UTF-8 text\n")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,target,reason", [
+        (["eval", "--out", "{tmp}/missing/m.csv"], "{tmp}/missing/m.csv",
+         "No such file or directory"),
+        (["eval", "--out", "{tmp}/m.csv", "--dump-scores", "{tmp}/missing/s.csv"],
+         "{tmp}/missing/s.csv", "No such file or directory"),
+        (["eval", "--out", "{tmp}"], "{tmp}", "Is a directory"),
+        (["embed", "--out", "{tmp}/missing/x.bin"], "{tmp}/missing/x.bin",
+         "No such file or directory"),
+        (["gen-labels", "--out", "{tmp}/missing/l.csv"], "{tmp}/missing/l.csv",
+         "No such file or directory"),
+        (["ablate-dim", "--out", "{tmp}/missing/x.csv"], "{tmp}/missing/x.csv",
+         "No such file or directory"),
+        (["train", "--out", "{cfg}"], "{cfg}", "File exists"),
+    ], ids=["eval-out", "eval-dump-scores", "eval-out-directory", "embed-out",
+            "gen-labels-out", "ablate-dim-out", "train-out-file"])
+    def test_unwritable_output_exits_3(self, pipeline, tmp_path, capsys, argv, target,
+                                       reason):
+        data = pipeline["data"]
+        inputs = {
+            "eval": ["--gallery", pipeline["emb"]["sat"], "--queries", pipeline["emb"]["drone"],
+                     "--relevance", os.path.join(data, "relevance_drone2sat.csv")],
+            "embed": ["--checkpoint", os.path.join(pipeline["run"], "checkpoint.ckpt"),
+                      "--features", os.path.join(data, "features.bin")],
+            "gen-labels": ["--manifest", os.path.join(data, "manifest.csv"), "--bins", "8"],
+            "ablate-dim": ["--config", pipeline["train_cfg"], "--data", data,
+                           "--dims", "8", "--seeds", "0"],
+            "train": ["--config", pipeline["train_cfg"], "--data", data],
+        }[argv[0]]
+        names = {"tmp": str(tmp_path), "cfg": pipeline["train_cfg"]}
+        code = main(argv[:1] + inputs + [a.format(**names) for a in argv[1:]])
+        assert code == 3
+        assert capsys.readouterr().err == f"io error: {reason}: {target.format(**names)}\n"
+
+
 class TestGenData:
     def test_same_seed_byte_identical(self, tmp_path):
         cfg = write_gen_cfg(tmp_path / "gen.cfg")

@@ -1,6 +1,7 @@
 """Loss functions against closed forms and term-by-term oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +194,67 @@ class TestInfoNCEMatchesScatterForm:
                 assert got[0] == want[0] and got[3] == want[3]
                 assert np.array_equal(got[1], want[1])
                 assert np.array_equal(got[2], want[2])
+
+
+class TestInfoNCEMatchesDenseForm:
+    """The workspace form reproduces the freshly allocated dense form bit for
+    bit, with or without a work dict, across batch sizes sharing one dict."""
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert got[0] == want[0] and got[3] == want[3]
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 488, 512])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_bit_identical(self, n, eps):
+        rng = np.random.default_rng([n, int(eps * 10), 1])
+        work = {}
+        for _ in range(3):
+            emb_s = unit_rows(rng, n, 16)
+            emb_d = unit_rows(rng, n, 16)
+            tau = float(rng.uniform(0.05, 1.0))
+            for mask in _masks(rng, n):
+                if mask.all():
+                    continue
+                want = oracles.dense_infonce_with_grad(emb_s, emb_d, mask, tau, eps)
+                self.assert_same_bits(infonce_with_grad(emb_s, emb_d, mask, tau, eps), want)
+                self.assert_same_bits(
+                    infonce_with_grad(emb_s, emb_d, mask, tau, eps, work), want)
+
+    def test_shared_work_across_batch_sizes(self):
+        rng = np.random.default_rng(8)
+        work = {}
+        kept = []
+        for n in (512, 488, 512, 64):
+            emb_s = unit_rows(rng, n, 32)
+            emb_d = unit_rows(rng, n, 32)
+            mask = rng.random(n) < 0.1
+            got = infonce_with_grad(emb_s, emb_d, mask, 0.07, 0.1, work)
+            self.assert_same_bits(got, infonce_with_grad(emb_s, emb_d, mask, 0.07, 0.1))
+            buffers = [b for bufs in work.values() for b in bufs]
+            for out in got[1:3]:
+                assert not any(np.shares_memory(out, b) for b in buffers)
+            kept.append((got, [a.copy() for a in got[1:3]]))
+        assert sorted(work) == [64, 488, 512]
+        for got, copies in kept:  # later calls did not write into earlier results
+            assert all(np.array_equal(a, c) for a, c in zip(got[1:3], copies))
+
+    def test_warm_call_allocates_less_than_one_score_matrix(self):
+        n = 512
+        rng = np.random.default_rng(9)
+        emb_s, emb_d = unit_rows(rng, n, 64), unit_rows(rng, n, 64)
+        mask = rng.random(n) < 0.1
+        work = {}
+        infonce_with_grad(emb_s, emb_d, mask, 0.07, 0.1, work)
+        tracemalloc.start()
+        try:
+            infonce_with_grad(emb_s, emb_d, mask, 0.07, 0.1, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8, f"warm InfoNCE call peaked at {peak / 2**20:.2f} MiB"
 
 
 class TestOrientationCE:
