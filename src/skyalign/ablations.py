@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import binio
 from .dataset import CrossViewDataset
 from .model import ModelParams, encode
 from .objectives import MODE_CLASSIFICATION, MODE_NONE
@@ -44,15 +45,17 @@ def train_and_score(cfg: TrainConfig, dataset: CrossViewDataset) -> dict[str, fl
 def ablate_bins(features_path, manifest: list[PoseRecord], base: TrainConfig,
                 bins_list: list, seeds: list[int]) -> list[dict]:
     """Sweep orientation supervision: integer bin counts, or "none" for the
-    contrastive-only baseline.  Datasets are re-binned per setting."""
+    contrastive-only baseline.  The feature file is read once and the
+    dataset re-binned per setting."""
+    views = binio.read_features(features_path)
     rows = []
     for setting in bins_list:
         if setting == BINS_NONE:
-            dataset = CrossViewDataset.load(features_path, manifest, base.loss.bins)
+            dataset = CrossViewDataset(views, manifest, base.loss.bins)
             loss = replace(base.loss, orientation_mode=MODE_NONE)
         else:
             bins = int(setting)
-            dataset = CrossViewDataset.load(features_path, manifest, bins)
+            dataset = CrossViewDataset(views, manifest, bins)
             loss = replace(base.loss, orientation_mode=MODE_CLASSIFICATION, bins=bins)
         for seed in seeds:
             cfg = replace(base, seed=seed, loss=loss)

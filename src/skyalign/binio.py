@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +31,21 @@ CKP_VERSION = 1
 
 KIND_SAT_CODE = 0
 KIND_DRONE_CODE = 1
+
+
+class Views(NamedTuple):
+    """The FEA1 record fields as columns, one row per view.
+
+    kinds are u8 codes (KIND_SAT_CODE / KIND_DRONE_CODE); vectors is an
+    N x dim array; azimuths are degrees (stored even for masked rows so
+    oracle tooling can recover them); masked is a boolean vector.
+    """
+
+    ids: list[str]
+    kinds: np.ndarray
+    vectors: np.ndarray
+    azimuths: np.ndarray
+    masked: np.ndarray
 
 
 def _read_exact(fh, n: int, path, what: str) -> bytes:
@@ -69,12 +85,7 @@ def _check_magic(fh, magic: bytes, path) -> None:
 
 
 def write_features(path, ids, kinds, vectors, azimuths, masked) -> None:
-    """Write a FEA1 file.
-
-    kinds are u8 codes (KIND_SAT_CODE / KIND_DRONE_CODE); vectors is an
-    N x dim array; azimuths are degrees (stored even for masked rows so
-    oracle tooling can recover them); masked is a boolean vector.
-    """
+    """Write a FEA1 file from the columns of a Views table."""
     vec = np.ascontiguousarray(vectors, dtype="<f4")
     n, dim = vec.shape
     if not (len(ids) == len(kinds) == len(azimuths) == len(masked) == n):
@@ -91,7 +102,7 @@ def write_features(path, ids, kinds, vectors, azimuths, masked) -> None:
 
 
 def read_features(path):
-    """Read a FEA1 file -> (ids, kinds u8, vectors f32, azimuths f32, masked bool)."""
+    """Read a FEA1 file -> Views(ids, kinds u8, vectors f32, azimuths f32, masked bool)."""
     with open(path, "rb") as fh:
         _check_magic(fh, FEA_MAGIC, path)
         n, dim = struct.unpack("<II", _read_exact(fh, 8, path, "header"))
@@ -121,7 +132,7 @@ def read_features(path):
                          ("azimuth", np.isfinite(azimuths))):
         if not finite.all():
             raise FormatError(f"{path}: record {int(np.argmin(finite))}: {what} is not finite")
-    return ids, kinds, vectors, azimuths, masked
+    return Views(ids, kinds, vectors, azimuths, masked)
 
 
 def write_embeddings(path, ids, matrix) -> None:

@@ -17,12 +17,7 @@ import sys
 import numpy as np
 
 from . import ablations, binio, configio
-from .dataset import (
-    CrossViewDataset,
-    generate,
-    relevance_maps,
-    save_features,
-)
+from .dataset import CrossViewDataset, generate, relevance_maps
 from .errors import ConfigError, DataError, NumericError
 from .model import encode, load_checkpoint, save_checkpoint
 from .pose_geometry import LabelConfig, generate_labels, read_manifest, write_labels, write_manifest
@@ -84,15 +79,14 @@ def _float_list(text: str) -> list[float]:
 def cmd_gen_data(args) -> None:
     cfg = configio.load_gen_config(_require_file(args.config), {"seed": args.seed})
     os.makedirs(args.out, exist_ok=True)
-    features, manifest = generate(cfg)
-    save_features(features, os.path.join(args.out, FEATURES_NAME))
+    views, manifest = generate(cfg)
+    binio.write_features(os.path.join(args.out, FEATURES_NAME), *views)
     write_manifest(manifest, os.path.join(args.out, MANIFEST_NAME))
-    d2s, s2d = relevance_maps(features)
+    d2s, s2d = relevance_maps(manifest)
     write_relevance(d2s, os.path.join(args.out, RELEVANCE_D2S_NAME))
     write_relevance(s2d, os.path.join(args.out, RELEVANCE_S2D_NAME))
-    n_masked = sum(1 for f in features if f.masked)
-    print(f"wrote {len(features)} views ({cfg.n_buildings} buildings, "
-          f"{n_masked} masked) to {args.out}")
+    print(f"wrote {len(views.ids)} views ({cfg.n_buildings} buildings, "
+          f"{int(views.masked.sum())} masked) to {args.out}")
 
 
 def cmd_gen_labels(args) -> None:
@@ -109,8 +103,8 @@ def cmd_train(args) -> None:
     features_path = _require_file(os.path.join(args.data, FEATURES_NAME))
     manifest = read_manifest(_require_file(os.path.join(args.data, MANIFEST_NAME)))
     dataset = CrossViewDataset.load(features_path, manifest, cfg.loss.bins)
+    os.makedirs(args.out, exist_ok=True)  # an unusable --out fails before training
     params, log = train(cfg, dataset)
-    os.makedirs(args.out, exist_ok=True)
     save_checkpoint(params, os.path.join(args.out, CHECKPOINT_NAME))
     write_train_log(log, os.path.join(args.out, TRAIN_LOG_NAME))
     print(f"trained {len(log)} steps; final loss {log[-1].loss_total:.6f}; "
@@ -189,6 +183,12 @@ def _sweep_inputs(args):
     return cfg, features_path, manifest, seeds
 
 
+def _check_writable(path) -> None:
+    """Raise now, before any training, the OSError that writing path would
+    raise later; an existing file is left as it is."""
+    open(path, "a", encoding="utf-8").close()
+
+
 def cmd_ablate_bins(args) -> None:
     cfg, features_path, manifest, seeds = _sweep_inputs(args)
     bins_list: list = []
@@ -206,6 +206,7 @@ def cmd_ablate_bins(args) -> None:
             bins_list.append(_bin_count(bins))
     if not bins_list:
         raise ConfigError("need at least one bins setting")
+    _check_writable(args.out)
     rows = ablations.ablate_bins(features_path, manifest, cfg, bins_list, seeds)
     ablations.write_sweep_csv(rows, ["bins", "seed", "recall_at_1", "ap"], args.out)
     for setting, mean in ablations.summarize(rows, "bins").items():
@@ -218,6 +219,7 @@ def cmd_ablate_dim(args) -> None:
     dims = _int_list(args.dims, "--dims", 1)
     if not dims:
         raise ConfigError("need at least one dim")
+    _check_writable(args.out)
     rows = ablations.ablate_dim(features_path, manifest, cfg, dims, seeds)
     ablations.write_sweep_csv(rows, ["embed_dim", "seed", "recall_at_1", "ap"], args.out)
     for setting, mean in ablations.summarize(rows, "embed_dim").items():

@@ -11,7 +11,7 @@ import os
 
 from .dataset import GenConfig
 from .errors import ConfigError, open_text
-from .objectives import ORIENTATION_MODES, LossConfig
+from .objectives import LossConfig
 from .trainer import TrainConfig
 
 ENV_PREFIX = "SKYALIGN_"
@@ -123,9 +123,6 @@ def load_gen_config(path, overrides: dict | None = None) -> GenConfig:
 
 def load_train_config(path, overrides: dict | None = None) -> TrainConfig:
     resolved = resolve(parse_flat_file(path), TRAIN_KEYS, overrides)
-    mode = resolved.get("orientation_mode")
-    if mode is not None and mode not in ORIENTATION_MODES:
-        raise ConfigError(f"orientation_mode must be one of {ORIENTATION_MODES}, got {mode!r}")
     loss_kwargs = {k: resolved.pop(k) for k in _LOSS_KEYS if k in resolved}
     try:
         return TrainConfig(loss=LossConfig(**loss_kwargs), **resolved)

@@ -1,6 +1,12 @@
 """Synthetic cross-view features, the one-drone-view-per-building batch
 sampler, and the aligned-rotation augmentation.
 
+Views travel as one column table (binio.Views, the FEA1 record fields) from
+the generator through the feature file to CrossViewDataset.  The pose
+manifest is the only labelling authority: a dataset takes each view's
+building, and each drone's mask, azimuth and orientation bin, from
+generate_labels, never from the views' own azimuth or masked columns.
+
 Batch sampling and aligned rotation are array operations that draw from
 their generators exactly what one scalar call per row would.
 
@@ -22,11 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
 from . import binio
+from .binio import Views
 from .errors import BatchTooLarge, ConfigError, DataError
 from .pose_geometry import (
     KIND_DRONE,
@@ -77,23 +83,6 @@ class GenConfig:
 
 
 @dataclass
-class ViewFeature:
-    """One synthetic view.
-
-    angle_deg is the drone's true relative azimuth, or the satellite's
-    orientation feature angle (0 at generation time).  Masked drone views
-    keep their true azimuth here; consumers must honor the masked flag.
-    """
-
-    view_id: str
-    building_id: str
-    kind: str
-    input_vector: np.ndarray  # length latent_dim + 2
-    angle_deg: float
-    masked: bool
-
-
-@dataclass
 class TrainBatch:
     """One training batch: row i of both input matrices is the building of
     dataset drone row drone_rows[i].
@@ -117,12 +106,12 @@ class TrainBatch:
         return len(self.drone_rows)
 
 
-def _orientation_block(angle_deg: float) -> np.ndarray:
+def _orientation_block(angle_deg: float) -> tuple[float, float]:
     rad = math.radians(angle_deg)
-    return np.array([math.cos(rad), math.sin(rad)])
+    return math.cos(rad), math.sin(rad)
 
 
-def generate(cfg: GenConfig) -> tuple[list[ViewFeature], list[PoseRecord]]:
+def generate(cfg: GenConfig) -> tuple[Views, list[PoseRecord]]:
     """Generate per-building satellite and drone views plus a pose manifest.
 
     Per building, an independent RNG substream keyed by (seed, 0, building
@@ -130,10 +119,17 @@ def generate(cfg: GenConfig) -> tuple[list[ViewFeature], list[PoseRecord]]:
     azimuth, the noise, and the failure coin, in that fixed order.  The
     manifest places the drone at the drawn bearing on a 100 m circle and the
     stored azimuth is recomputed from those positions, so label generation
-    from the manifest reproduces the generator's bins exactly.
+    from the manifest reproduces the generator's bins exactly.  The views
+    hold float64 vectors and azimuths; a satellite's azimuth is 0.
     """
-    label_cfg = LabelConfig(cfg.bins)
-    features: list[ViewFeature] = []
+    per_building = 1 + cfg.views_per_building
+    n = cfg.n_buildings * per_building
+    ids: list[str] = []
+    kinds = np.full(n, binio.KIND_DRONE_CODE, dtype=np.uint8)
+    kinds[::per_building] = binio.KIND_SAT_CODE
+    vectors = np.empty((n, cfg.latent_dim + 2))
+    azimuths = np.zeros(n)
+    masked = np.zeros(n, dtype=bool)
     manifest: list[PoseRecord] = []
     for b in range(cfg.n_buildings):
         rng = np.random.default_rng([cfg.seed, 0, b])
@@ -142,14 +138,15 @@ def generate(cfg: GenConfig) -> tuple[list[ViewFeature], list[PoseRecord]]:
         latent = rng.standard_normal(cfg.latent_dim)
         latent /= np.linalg.norm(latent)
 
-        sat_vec = np.concatenate(
-            [latent + cfg.noise_sigma * rng.standard_normal(cfg.latent_dim), _orientation_block(0.0)]
-        )
+        row = b * per_building
+        vectors[row, :-2] = latent + cfg.noise_sigma * rng.standard_normal(cfg.latent_dim)
+        vectors[row, -2:] = _orientation_block(0.0)
         sat_id = f"{bid}_sat"
-        features.append(ViewFeature(sat_id, bid, KIND_SAT, sat_vec, 0.0, False))
+        ids.append(sat_id)
         manifest.append(PoseRecord(sat_id, bid, KIND_SAT, sat_pos, STATUS_OK))
 
         for v in range(cfg.views_per_building):
+            row += 1
             drawn = rng.uniform(0.0, 360.0)
             rad = math.radians(drawn)
             drone_pos = (
@@ -163,72 +160,89 @@ def generate(cfg: GenConfig) -> tuple[list[ViewFeature], list[PoseRecord]]:
             azimuth = relative_azimuth(sat_pos, drone_pos)
             noise = rng.standard_normal(cfg.latent_dim)
             failed = bool(rng.random() < cfg.fail_prob)
-            vec = np.concatenate(
-                [latent + cfg.noise_sigma * noise, _orientation_block(azimuth)]
-            )
+            vectors[row, :-2] = latent + cfg.noise_sigma * noise
+            vectors[row, -2:] = _orientation_block(azimuth)
+            azimuths[row] = azimuth
+            masked[row] = failed
             view_id = f"{bid}_d{v:02d}"
-            features.append(ViewFeature(view_id, bid, KIND_DRONE, vec, azimuth, failed))
+            ids.append(view_id)
             manifest.append(
                 PoseRecord(view_id, bid, KIND_DRONE, drone_pos,
                            STATUS_FAILED if failed else STATUS_OK)
             )
     # internal consistency guard, cheap relative to generation
-    labels = generate_labels(manifest, label_cfg)
-    by_view = {lab.view_id: lab for lab in labels}
-    for feat in features:
-        if feat.kind == KIND_DRONE and not feat.masked:
-            assert by_view[feat.view_id].bin == bin_of(feat.angle_deg, label_cfg)
-    return features, manifest
-
-
-def save_features(features: list[ViewFeature], path) -> None:
-    ids = [f.view_id for f in features]
-    kinds = [binio.KIND_SAT_CODE if f.kind == KIND_SAT else binio.KIND_DRONE_CODE for f in features]
-    vectors = np.stack([f.input_vector for f in features])
-    azimuths = [f.angle_deg for f in features]
-    masked = [f.masked for f in features]
-    binio.write_features(path, ids, kinds, vectors, azimuths, masked)
-
-
-def load_features(path, building_of: dict[str, str]) -> list[ViewFeature]:
-    """Load a feature file, resolving building ids through a manifest mapping."""
-    ids, kinds, vectors, azimuths, masked = binio.read_features(path)
-    features = []
-    for i, view_id in enumerate(ids):
-        bid = building_of.get(view_id)
-        if bid is None:
-            raise DataError(f"{path}: view {view_id!r} missing from manifest")
-        kind = KIND_SAT if kinds[i] == binio.KIND_SAT_CODE else KIND_DRONE
-        features.append(
-            ViewFeature(view_id, bid, kind, vectors[i].astype(np.float64),
-                        float(azimuths[i]), bool(masked[i]))
-        )
-    return features
+    label_cfg = LabelConfig(cfg.bins)
+    drones = np.flatnonzero(kinds == binio.KIND_DRONE_CODE)
+    for row, lab in zip(drones, generate_labels(manifest, label_cfg)):
+        assert lab.view_id == ids[row] and lab.masked == masked[row]
+        if not lab.masked:
+            assert lab.bin == bin_of(azimuths[row], label_cfg)
+    return Views(ids, kinds, vectors, azimuths, masked), manifest
 
 
 class CrossViewDataset:
-    """Feature views grouped by building, with orientation bins resolved.
+    """Views grouped by building, with orientation labels from a pose manifest.
 
-    Satellite order follows first appearance in the feature list.  Bins for
-    unmasked drones come either from the views' own azimuths
-    (from_features) or from pose-manifest geometry (load); the two agree by
-    the generator's round-trip construction.
+    The manifest is the only labelling authority: each view's building, and
+    each drone's mask, azimuth and bin under the given bin count, come from
+    generate_labels.  A masked drone keeps the azimuth stored in the views,
+    which no label uses.  Satellite order follows first appearance in the
+    views; inputs are float64 whatever the views' dtype.
     """
 
-    def __init__(self, bins: int):
-        self.label_cfg = LabelConfig(bins)
-        self.building_ids: list[str] = []
-        self.sat_view_ids: list[str] = []
-        self.sat_inputs: Optional[np.ndarray] = None
-        self.drone_inputs: Optional[np.ndarray] = None
-        self.drone_view_ids: list[str] = []
-        self.drone_building_idx: Optional[np.ndarray] = None
-        self.drone_azimuth_deg: Optional[np.ndarray] = None
-        self.drone_masked: Optional[np.ndarray] = None
-        self.drone_bins: Optional[np.ndarray] = None
+    def __init__(self, views: Views, manifest: list[PoseRecord], bins: int):
+        dim = views.vectors.shape[1]
+        if dim < 3:
+            raise DataError(f"feature vectors have {dim} columns; need a latent block "
+                            f"and 2 orientation columns")
+        building_of = {rec.view_id: rec.building_id for rec in manifest}
+        for view_id in views.ids:
+            if view_id not in building_of:
+                raise DataError(f"view {view_id!r} missing from manifest")
+        label_of = {lab.view_id: lab for lab in generate_labels(manifest, LabelConfig(bins))}
+        is_sat = views.kinds == binio.KIND_SAT_CODE
+        sat_rows = np.flatnonzero(is_sat)
+        drone_rows = np.flatnonzero(~is_sat)
+
+        building_index: dict[str, int] = {}
+        for row in sat_rows:
+            bid = building_of[views.ids[row]]
+            if bid in building_index:
+                raise DataError(f"building {bid!r} has two satellite views")
+            building_index[bid] = len(building_index)
+        if not building_index:
+            raise DataError("no satellite views in feature set")
+        self.building_ids = list(building_index)
+        self.sat_view_ids = [views.ids[row] for row in sat_rows]
+        self.sat_inputs = views.vectors[sat_rows].astype(np.float64, copy=False)
+
+        if drone_rows.size == 0:
+            raise DataError("no drone views in feature set")
+        self.drone_view_ids = [views.ids[row] for row in drone_rows]
+        labels = []
+        for view_id in self.drone_view_ids:
+            lab = label_of.get(view_id)
+            if lab is None:
+                raise DataError(f"drone {view_id!r} missing from manifest")
+            if lab.building_id not in building_index:
+                raise DataError(f"drone {view_id!r}: no satellite for building "
+                                f"{lab.building_id!r}")
+            labels.append(lab)
+        self.drone_inputs = views.vectors[drone_rows].astype(np.float64, copy=False)
+        self.drone_building_idx = np.array(
+            [building_index[lab.building_id] for lab in labels], dtype=np.int64)
+        self.drone_masked = np.array([lab.masked for lab in labels])
+        self.drone_azimuth_deg = np.array(
+            [float(views.azimuths[row]) if lab.masked else lab.azimuth_deg
+             for row, lab in zip(drone_rows, labels)])
+        self.drone_bins = np.array(
+            [MASKED_BIN if lab.masked else lab.bin for lab in labels], dtype=np.int64)
         # drone rows sorted stably by building, and each building's row count
-        self.drone_order: Optional[np.ndarray] = None
-        self.drone_counts: Optional[np.ndarray] = None
+        self.drone_order = np.argsort(self.drone_building_idx, kind="stable")
+        self.drone_counts = np.bincount(self.drone_building_idx, minlength=self.n_buildings)
+        empty = np.flatnonzero(self.drone_counts == 0)
+        if empty.size:
+            raise DataError(f"building {self.building_ids[empty[0]]!r} has no drone views")
 
     @property
     def n_buildings(self) -> int:
@@ -239,112 +253,25 @@ class CrossViewDataset:
         return self.sat_inputs.shape[1]
 
     @classmethod
-    def from_features(cls, features: list[ViewFeature], bins: int,
-                      bins_by_view: Optional[dict[str, int]] = None) -> "CrossViewDataset":
-        ds = cls(bins)
-        sat_rows = []
-        building_index: dict[str, int] = {}
-        drone_feats: list[ViewFeature] = []
-        for feat in features:
-            if feat.kind == KIND_SAT:
-                if feat.building_id in building_index:
-                    raise DataError(f"building {feat.building_id!r} has two satellite views")
-                building_index[feat.building_id] = len(sat_rows)
-                ds.building_ids.append(feat.building_id)
-                ds.sat_view_ids.append(feat.view_id)
-                sat_rows.append(feat.input_vector)
-            else:
-                drone_feats.append(feat)
-        if not sat_rows:
-            raise DataError("no satellite views in feature set")
-        ds.sat_inputs = np.stack(sat_rows)
-
-        n_drones = len(drone_feats)
-        if n_drones == 0:
-            raise DataError("no drone views in feature set")
-        ds.drone_inputs = np.stack([f.input_vector for f in drone_feats])
-        ds.drone_view_ids = [f.view_id for f in drone_feats]
-        ds.drone_azimuth_deg = np.array([f.angle_deg for f in drone_feats])
-        ds.drone_masked = np.array([f.masked for f in drone_feats])
-        ds.drone_building_idx = np.empty(n_drones, dtype=np.int64)
-        ds.drone_bins = np.full(n_drones, MASKED_BIN, dtype=np.int64)
-        for i, feat in enumerate(drone_feats):
-            if feat.building_id not in building_index:
-                raise DataError(f"drone {feat.view_id!r}: no satellite for building "
-                                f"{feat.building_id!r}")
-            ds.drone_building_idx[i] = building_index[feat.building_id]
-            if not feat.masked:
-                if bins_by_view is not None:
-                    ds.drone_bins[i] = bins_by_view[feat.view_id]
-                else:
-                    ds.drone_bins[i] = bin_of(feat.angle_deg, ds.label_cfg)
-        ds.drone_order = np.argsort(ds.drone_building_idx, kind="stable")
-        ds.drone_counts = np.bincount(ds.drone_building_idx, minlength=ds.n_buildings)
-        empty = np.flatnonzero(ds.drone_counts == 0)
-        if empty.size:
-            raise DataError(f"building {ds.building_ids[empty[0]]!r} has no drone views")
-        return ds
-
-    @classmethod
     def load(cls, features_path, manifest_records: list[PoseRecord], bins: int) -> "CrossViewDataset":
         """Build from a feature file plus its pose manifest.
 
-        Bins come from manifest geometry via generate_labels, so the same
-        feature file can be re-binned under any bin count.
+        Bins come from manifest geometry, so the same feature file can be
+        re-binned under any bin count.
         """
-        building_of = {rec.view_id: rec.building_id for rec in manifest_records}
-        features = load_features(features_path, building_of)
-        labels = generate_labels(manifest_records, LabelConfig(bins))
-        label_by_view = {lab.view_id: lab for lab in labels}
-        for feat in features:
-            if feat.kind == KIND_DRONE:
-                lab = label_by_view.get(feat.view_id)
-                if lab is None:
-                    raise DataError(f"drone {feat.view_id!r} missing from manifest")
-                feat.masked = lab.masked
-                if not lab.masked:
-                    # manifest geometry is the binning authority after a
-                    # round-trip; the file's float32 azimuth is only the
-                    # oracle record
-                    feat.angle_deg = lab.azimuth_deg
-        bins_by_view = {
-            lab.view_id: lab.bin for lab in labels if not lab.masked
-        }
-        return cls.from_features(features, bins, bins_by_view)
-
-    def with_mask_cleared(self) -> "CrossViewDataset":
-        """Copy with every drone unmasked, bins filled from stored azimuths.
-
-        Turns the retained-but-hidden azimuths of masked views into live
-        labels, for measuring what masking discards.
-        """
-        ds = CrossViewDataset(self.label_cfg.bins)
-        ds.building_ids = list(self.building_ids)
-        ds.sat_view_ids = list(self.sat_view_ids)
-        ds.sat_inputs = self.sat_inputs.copy()
-        ds.drone_inputs = self.drone_inputs.copy()
-        ds.drone_view_ids = list(self.drone_view_ids)
-        ds.drone_building_idx = self.drone_building_idx.copy()
-        ds.drone_azimuth_deg = self.drone_azimuth_deg.copy()
-        ds.drone_masked = np.zeros_like(self.drone_masked)
-        ds.drone_bins = np.array(
-            [bin_of(az, self.label_cfg) for az in self.drone_azimuth_deg], dtype=np.int64
-        )
-        ds.drone_order = self.drone_order.copy()
-        ds.drone_counts = self.drone_counts.copy()
-        return ds
+        return cls(binio.read_features(features_path), manifest_records, bins)
 
 
-def relevance_maps(features: list[ViewFeature]) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+def relevance_maps(manifest: list[PoseRecord]) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
     """(drone-to-sat, sat-to-drone) relevance: a view is relevant to every
     view of its own building on the other side."""
     sat_of: dict[str, str] = {}
     drones_of: dict[str, set[str]] = {}
-    for feat in features:
-        if feat.kind == KIND_SAT:
-            sat_of[feat.building_id] = feat.view_id
+    for rec in manifest:
+        if rec.kind == KIND_SAT:
+            sat_of[rec.building_id] = rec.view_id
         else:
-            drones_of.setdefault(feat.building_id, set()).add(feat.view_id)
+            drones_of.setdefault(rec.building_id, set()).add(rec.view_id)
     d2s = {}
     s2d = {}
     for bid, sat_id in sat_of.items():

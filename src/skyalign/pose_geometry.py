@@ -161,7 +161,10 @@ def generate_labels(manifest: Iterable[PoseRecord], cfg: LabelConfig) -> list[Or
 
 
 def read_manifest(path) -> list[PoseRecord]:
-    """Read a pose manifest CSV (header view_id,building_id,kind,x,y,z,status)."""
+    """Read a pose manifest CSV (header view_id,building_id,kind,x,y,z,status).
+
+    Every coordinate must be finite; a failed record may leave them blank.
+    """
     records = []
     with open_text(path, ManifestError) as fh:
         reader = csv.reader(fh)
@@ -189,6 +192,8 @@ def read_manifest(path) -> list[PoseRecord]:
                     pos = (float(xs), float(ys), float(zs))
             except ValueError:
                 raise ManifestError(f"{path}:{lineno}: bad coordinate") from None
+            if not all(map(math.isfinite, pos)):
+                raise ManifestError(f"{path}:{lineno}: coordinate is not finite")
             records.append(PoseRecord(view_id, building_id, kind, pos, status))
     return records
 

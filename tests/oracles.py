@@ -3,21 +3,44 @@
 The naive_* functions are plain term-by-term Python loops over math
 functions, deliberately independent of the vectorized numpy routes in the
 package.  Tests compare the two routes; neither is derived from the other.
-The loop-form references at the end are exact-equality references for the
-training batch path, for InfoNCE's gradient and for top_k's block
-selection.
+The loop-form references are exact-equality references for the training
+batch path, for InfoNCE's gradient and for top_k's block selection; the
+object-form references at the end are those for the generator's view table
+and the dataset builder.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
-from skyalign.dataset import BatchSampler, TrainBatch
+from skyalign import binio
+from skyalign.dataset import (
+    BUILDING_SPACING_M,
+    DRONE_ALTITUDE_M,
+    DRONE_RADIUS_M,
+    MASKED_BIN,
+    BatchSampler,
+    GenConfig,
+    TrainBatch,
+)
+from skyalign.errors import DataError
 from skyalign.objectives import _log_softmax, _smoothed_ce_rows
-from skyalign.pose_geometry import rotate_label
+from skyalign.pose_geometry import (
+    KIND_DRONE,
+    KIND_SAT,
+    STATUS_FAILED,
+    STATUS_OK,
+    LabelConfig,
+    PoseRecord,
+    bin_of,
+    generate_labels,
+    relative_azimuth,
+    rotate_label,
+)
 from skyalign.retrieval_eval import _block_candidates, _id_ordered, _merge
 
 
@@ -257,3 +280,224 @@ def whole_block_topk(gallery, queries, k, gallery_block):
         cand_s, cand_i = _block_candidates(scores, c0, k)
         run_s, run_i = _merge(run_s, run_i, cand_s, cand_i, k)
     return [([gids[j] for j in row_i], row_s.tobytes()) for row_s, row_i in zip(run_s, run_i)]
+
+
+# ---------------------------------------------------------------------------
+# Object-form references for the view table.  These are the earlier
+# generator, feature writer and loader and dataset builders, which held one ViewFeature
+# object per view; they are kept verbatim apart from their names.  The
+# column form in the package (generate, CrossViewDataset) must reproduce
+# them exactly: same arrays, dtypes and ids.
+
+
+@dataclass
+class ViewFeature:
+    """One synthetic view.
+
+    angle_deg is the drone's true relative azimuth, or the satellite's
+    orientation feature angle (0 at generation time).  Masked drone views
+    keep their true azimuth here; consumers must honor the masked flag.
+    """
+
+    view_id: str
+    building_id: str
+    kind: str
+    input_vector: np.ndarray  # length latent_dim + 2
+    angle_deg: float
+    masked: bool
+
+
+def _orientation_block(angle_deg: float) -> np.ndarray:
+    rad = math.radians(angle_deg)
+    return np.array([math.cos(rad), math.sin(rad)])
+
+
+def generate_objects(cfg: GenConfig) -> tuple[list[ViewFeature], list[PoseRecord]]:
+    """Generate per-building satellite and drone views plus a pose manifest.
+
+    Per building, an independent RNG substream keyed by (seed, 0, building
+    index) draws the latent, the satellite noise, then per drone view the
+    azimuth, the noise, and the failure coin, in that fixed order.  The
+    manifest places the drone at the drawn bearing on a 100 m circle and the
+    stored azimuth is recomputed from those positions, so label generation
+    from the manifest reproduces the generator's bins exactly.
+    """
+    label_cfg = LabelConfig(cfg.bins)
+    features: list[ViewFeature] = []
+    manifest: list[PoseRecord] = []
+    for b in range(cfg.n_buildings):
+        rng = np.random.default_rng([cfg.seed, 0, b])
+        bid = f"b{b:04d}"
+        sat_pos = (b * BUILDING_SPACING_M, 0.0, 0.0)
+        latent = rng.standard_normal(cfg.latent_dim)
+        latent /= np.linalg.norm(latent)
+
+        sat_vec = np.concatenate(
+            [latent + cfg.noise_sigma * rng.standard_normal(cfg.latent_dim), _orientation_block(0.0)]
+        )
+        sat_id = f"{bid}_sat"
+        features.append(ViewFeature(sat_id, bid, KIND_SAT, sat_vec, 0.0, False))
+        manifest.append(PoseRecord(sat_id, bid, KIND_SAT, sat_pos, STATUS_OK))
+
+        for v in range(cfg.views_per_building):
+            drawn = rng.uniform(0.0, 360.0)
+            rad = math.radians(drawn)
+            drone_pos = (
+                sat_pos[0] + DRONE_RADIUS_M * math.sin(rad),
+                sat_pos[1] + DRONE_RADIUS_M * math.cos(rad),
+                DRONE_ALTITUDE_M,
+            )
+            # the azimuth actually encoded everywhere is the one the manifest
+            # geometry reproduces, not the drawn angle (they differ in the
+            # last ulps)
+            azimuth = relative_azimuth(sat_pos, drone_pos)
+            noise = rng.standard_normal(cfg.latent_dim)
+            failed = bool(rng.random() < cfg.fail_prob)
+            vec = np.concatenate(
+                [latent + cfg.noise_sigma * noise, _orientation_block(azimuth)]
+            )
+            view_id = f"{bid}_d{v:02d}"
+            features.append(ViewFeature(view_id, bid, KIND_DRONE, vec, azimuth, failed))
+            manifest.append(
+                PoseRecord(view_id, bid, KIND_DRONE, drone_pos,
+                           STATUS_FAILED if failed else STATUS_OK)
+            )
+    # internal consistency guard, cheap relative to generation
+    labels = generate_labels(manifest, label_cfg)
+    by_view = {lab.view_id: lab for lab in labels}
+    for feat in features:
+        if feat.kind == KIND_DRONE and not feat.masked:
+            assert by_view[feat.view_id].bin == bin_of(feat.angle_deg, label_cfg)
+    return features, manifest
+
+
+def save_features(features: list[ViewFeature], path) -> None:
+    ids = [f.view_id for f in features]
+    kinds = [binio.KIND_SAT_CODE if f.kind == KIND_SAT else binio.KIND_DRONE_CODE for f in features]
+    vectors = np.stack([f.input_vector for f in features])
+    azimuths = [f.angle_deg for f in features]
+    masked = [f.masked for f in features]
+    binio.write_features(path, ids, kinds, vectors, azimuths, masked)
+
+
+def load_features(path, building_of: dict[str, str]) -> list[ViewFeature]:
+    """Load a feature file, resolving building ids through a manifest mapping."""
+    ids, kinds, vectors, azimuths, masked = binio.read_features(path)
+    features = []
+    for i, view_id in enumerate(ids):
+        bid = building_of.get(view_id)
+        if bid is None:
+            raise DataError(f"{path}: view {view_id!r} missing from manifest")
+        kind = KIND_SAT if kinds[i] == binio.KIND_SAT_CODE else KIND_DRONE
+        features.append(
+            ViewFeature(view_id, bid, kind, vectors[i].astype(np.float64),
+                        float(azimuths[i]), bool(masked[i]))
+        )
+    return features
+
+
+class ObjectDataset:
+    """Feature views grouped by building, with orientation bins resolved.
+
+    Satellite order follows first appearance in the feature list.  Bins for
+    unmasked drones come either from the views' own azimuths
+    (from_features) or from pose-manifest geometry (load); the two agree by
+    the generator's round-trip construction.
+    """
+
+    def __init__(self, bins: int):
+        self.label_cfg = LabelConfig(bins)
+        self.building_ids: list[str] = []
+        self.sat_view_ids: list[str] = []
+        self.sat_inputs: Optional[np.ndarray] = None
+        self.drone_inputs: Optional[np.ndarray] = None
+        self.drone_view_ids: list[str] = []
+        self.drone_building_idx: Optional[np.ndarray] = None
+        self.drone_azimuth_deg: Optional[np.ndarray] = None
+        self.drone_masked: Optional[np.ndarray] = None
+        self.drone_bins: Optional[np.ndarray] = None
+        # drone rows sorted stably by building, and each building's row count
+        self.drone_order: Optional[np.ndarray] = None
+        self.drone_counts: Optional[np.ndarray] = None
+
+    @property
+    def n_buildings(self) -> int:
+        return len(self.building_ids)
+
+    @property
+    def input_dim(self) -> int:
+        return self.sat_inputs.shape[1]
+
+    @classmethod
+    def from_features(cls, features: list[ViewFeature], bins: int,
+                      bins_by_view: Optional[dict[str, int]] = None) -> "ObjectDataset":
+        ds = cls(bins)
+        sat_rows = []
+        building_index: dict[str, int] = {}
+        drone_feats: list[ViewFeature] = []
+        for feat in features:
+            if feat.kind == KIND_SAT:
+                if feat.building_id in building_index:
+                    raise DataError(f"building {feat.building_id!r} has two satellite views")
+                building_index[feat.building_id] = len(sat_rows)
+                ds.building_ids.append(feat.building_id)
+                ds.sat_view_ids.append(feat.view_id)
+                sat_rows.append(feat.input_vector)
+            else:
+                drone_feats.append(feat)
+        if not sat_rows:
+            raise DataError("no satellite views in feature set")
+        ds.sat_inputs = np.stack(sat_rows)
+
+        n_drones = len(drone_feats)
+        if n_drones == 0:
+            raise DataError("no drone views in feature set")
+        ds.drone_inputs = np.stack([f.input_vector for f in drone_feats])
+        ds.drone_view_ids = [f.view_id for f in drone_feats]
+        ds.drone_azimuth_deg = np.array([f.angle_deg for f in drone_feats])
+        ds.drone_masked = np.array([f.masked for f in drone_feats])
+        ds.drone_building_idx = np.empty(n_drones, dtype=np.int64)
+        ds.drone_bins = np.full(n_drones, MASKED_BIN, dtype=np.int64)
+        for i, feat in enumerate(drone_feats):
+            if feat.building_id not in building_index:
+                raise DataError(f"drone {feat.view_id!r}: no satellite for building "
+                                f"{feat.building_id!r}")
+            ds.drone_building_idx[i] = building_index[feat.building_id]
+            if not feat.masked:
+                if bins_by_view is not None:
+                    ds.drone_bins[i] = bins_by_view[feat.view_id]
+                else:
+                    ds.drone_bins[i] = bin_of(feat.angle_deg, ds.label_cfg)
+        ds.drone_order = np.argsort(ds.drone_building_idx, kind="stable")
+        ds.drone_counts = np.bincount(ds.drone_building_idx, minlength=ds.n_buildings)
+        empty = np.flatnonzero(ds.drone_counts == 0)
+        if empty.size:
+            raise DataError(f"building {ds.building_ids[empty[0]]!r} has no drone views")
+        return ds
+
+    @classmethod
+    def load(cls, features_path, manifest_records: list[PoseRecord], bins: int) -> "ObjectDataset":
+        """Build from a feature file plus its pose manifest.
+
+        Bins come from manifest geometry via generate_labels, so the same
+        feature file can be re-binned under any bin count.
+        """
+        building_of = {rec.view_id: rec.building_id for rec in manifest_records}
+        features = load_features(features_path, building_of)
+        labels = generate_labels(manifest_records, LabelConfig(bins))
+        label_by_view = {lab.view_id: lab for lab in labels}
+        for feat in features:
+            if feat.kind == KIND_DRONE:
+                lab = label_by_view.get(feat.view_id)
+                if lab is None:
+                    raise DataError(f"drone {feat.view_id!r} missing from manifest")
+                feat.masked = lab.masked
+                if not lab.masked:
+                    # manifest geometry is the binning authority after a
+                    # round-trip; the file's float32 azimuth is only the
+                    # oracle record
+                    feat.angle_deg = lab.azimuth_deg
+        bins_by_view = {
+            lab.view_id: lab.bin for lab in labels if not lab.masked
+        }
+        return cls.from_features(features, bins, bins_by_view)

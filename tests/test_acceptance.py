@@ -22,6 +22,7 @@ import time
 import numpy as np
 import pytest
 
+from skyalign import binio
 from skyalign.dataset import (
     BatchSampler,
     CrossViewDataset,
@@ -90,8 +91,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def default_dataset():
-    feats, _ = generate(DEFAULT_GEN)
-    return CrossViewDataset.from_features(feats, 8)
+    return CrossViewDataset(*generate(DEFAULT_GEN), 8)
 
 
 def desk_run(dataset, *, seed, mode, embed_dim=64,
@@ -211,22 +211,22 @@ class TestCriterion04GeneratorLabels:
         for seed in range(10):
             cfg = dataclasses.replace(DEFAULT_GEN, seed=seed,
                                       n_buildings=40, views_per_building=5)
-            feats, manifest = generate(cfg)
+            table, manifest = generate(cfg)
             path = tmp_path / f"manifest_{seed}.csv"
             write_manifest(manifest, path)
             labels = generate_labels(read_manifest(path), LabelConfig(cfg.bins))
             by_view = {lab.view_id: lab for lab in labels}
-            internal = {f.view_id: f for f in feats if f.kind == "drone"}
-            for vid, feat in internal.items():
-                lab = by_view[vid]
-                if feat.masked != lab.masked:
+            for row in np.flatnonzero(table.kinds == binio.KIND_DRONE_CODE):
+                lab = by_view[table.ids[row]]
+                masked, azimuth = bool(table.masked[row]), float(table.azimuths[row])
+                if masked != lab.masked:
                     mismatches += 1
                     continue
-                if feat.masked:
+                if masked:
                     continue
                 views += 1
-                want = bin_of(feat.angle_deg, LabelConfig(cfg.bins))
-                if lab.bin != want or lab.azimuth_deg != feat.angle_deg:
+                want = bin_of(azimuth, LabelConfig(cfg.bins))
+                if lab.bin != want or lab.azimuth_deg != azimuth:
                     mismatches += 1
         ok = mismatches == 0
         _report(4, ok, f"10 seeds, {views} unmasked views round-tripped "
@@ -277,10 +277,8 @@ class TestCriterion06MaskingBenefit:
     def test_masked_training_is_finite_and_close_to_clean(self):
         gen02 = dataclasses.replace(DEFAULT_GEN, fail_prob=0.2)
         gen00 = dataclasses.replace(DEFAULT_GEN, fail_prob=0.0)
-        feats02, _ = generate(gen02)
-        feats00, _ = generate(gen00)
-        ds02 = CrossViewDataset.from_features(feats02, 8)
-        ds00 = CrossViewDataset.from_features(feats00, 8)
+        ds02 = CrossViewDataset(*generate(gen02), 8)
+        ds00 = CrossViewDataset(*generate(gen00), 8)
 
         # oracle-measured noise gap: raw-feature cosine R@1 difference
         # between the two datasets (their vectors are identical draws, so

@@ -155,6 +155,7 @@ class TestUsageAndExitCodes:
         ("ORIENTATION_WEIGHT", "nan"),
         ("SEED", "x"),
         ("SEED", "-3"),
+        ("ORIENTATION_MODE", "bogus"),
     ])
     def test_bad_train_config_value_exits_2(self, pipeline, tmp_path, monkeypatch, capsys,
                                             key, value):
@@ -243,6 +244,44 @@ class TestUsageAndExitCodes:
         assert code == 3
         assert f"{data / 'features.bin'}: record 5: vector is not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim", [0, 1, 2])
+    def test_features_without_latent_block_exit_3(self, pipeline, tmp_path, capsys, dim):
+        views = binio.read_features(os.path.join(pipeline["data"], "features.bin"))
+        data = tmp_path / "data"
+        data.mkdir()
+        binio.write_features(data / "features.bin", *views._replace(vectors=views.vectors[:, :dim]))
+        shutil.copy(os.path.join(pipeline["data"], "manifest.csv"), data)
+        code = main(["train", "--config", pipeline["train_cfg"], "--data", str(data),
+                     "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"data error: feature vectors have {dim} columns; need a latent block "
+            f"and 2 orientation columns\n")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["gen-labels", "train"])
+    @pytest.mark.parametrize("line", [2, 3], ids=["sat", "drone"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_manifest_coordinate_exits_3(self, pipeline, tmp_path, capsys,
+                                                    command, line, value):
+        data = tmp_path / "data"
+        data.mkdir()
+        shutil.copy(os.path.join(pipeline["data"], "features.bin"), data)
+        rows = Path(pipeline["data"], "manifest.csv").read_text(encoding="utf-8").split("\n")
+        cells = rows[line - 1].split(",")
+        assert cells[-1] == "ok"
+        cells[3] = value
+        rows[line - 1] = ",".join(cells)
+        manifest = data / "manifest.csv"
+        manifest.write_text("\n".join(rows), encoding="utf-8")
+        argv = {
+            "gen-labels": ["gen-labels", "--manifest", str(manifest), "--bins", "8"],
+            "train": ["train", "--config", pipeline["train_cfg"], "--data", str(data)],
+        }[command]
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err == f"data error: {manifest}:{line}: coordinate is not finite\n"
+
 
     @pytest.mark.parametrize("argv,code", [
         (["gen-data", "--config", "{bin}", "--out", "{tmp}/d"], 2),
@@ -283,11 +322,18 @@ class TestUsageAndExitCodes:
          "No such file or directory"),
         (["ablate-dim", "--out", "{tmp}/missing/x.csv"], "{tmp}/missing/x.csv",
          "No such file or directory"),
+        (["ablate-bins", "--out", "{tmp}/missing/x.csv"], "{tmp}/missing/x.csv",
+         "No such file or directory"),
         (["train", "--out", "{cfg}"], "{cfg}", "File exists"),
     ], ids=["eval-out", "eval-dump-scores", "eval-out-directory", "embed-out",
-            "gen-labels-out", "ablate-dim-out", "train-out-file"])
-    def test_unwritable_output_exits_3(self, pipeline, tmp_path, capsys, argv, target,
-                                       reason):
+            "gen-labels-out", "ablate-dim-out", "ablate-bins-out", "train-out-file"])
+    def test_unwritable_output_exits_3(self, pipeline, tmp_path, capsys, monkeypatch, argv,
+                                       target, reason):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the output path")
+
+        monkeypatch.setattr("skyalign.cli.train", no_training)
+        monkeypatch.setattr("skyalign.ablations.train", no_training)
         data = pipeline["data"]
         inputs = {
             "eval": ["--gallery", pipeline["emb"]["sat"], "--queries", pipeline["emb"]["drone"],
@@ -297,6 +343,8 @@ class TestUsageAndExitCodes:
             "gen-labels": ["--manifest", os.path.join(data, "manifest.csv"), "--bins", "8"],
             "ablate-dim": ["--config", pipeline["train_cfg"], "--data", data,
                            "--dims", "8", "--seeds", "0"],
+            "ablate-bins": ["--config", pipeline["train_cfg"], "--data", data,
+                            "--bins", "8", "--seeds", "0"],
             "train": ["--config", pipeline["train_cfg"], "--data", data],
         }[argv[0]]
         names = {"tmp": str(tmp_path), "cfg": pipeline["train_cfg"]}

@@ -8,18 +8,24 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from skyalign import binio
+from skyalign.binio import Views
 from skyalign.dataset import (
     CrossViewDataset,
     BatchSampler,
     GenConfig,
     apply_aligned_rotation,
     generate,
-    load_features,
     relevance_maps,
-    save_features,
 )
 from skyalign.errors import BatchTooLarge, ConfigError, DataError
-from oracles import LoopBatchSampler, loop_aligned_rotation
+from oracles import (
+    LoopBatchSampler,
+    ObjectDataset,
+    generate_objects,
+    loop_aligned_rotation,
+    save_features,
+)
 from skyalign.pose_geometry import LabelConfig, bin_of, generate_labels
 
 
@@ -30,79 +36,88 @@ def small_cfg(**over):
     return GenConfig(**base)
 
 
+def take(views, rows):
+    """The rows of a view table, in the given order."""
+    return Views([views.ids[r] for r in rows], *(col[rows] for col in views[1:]))
+
+
+def drone_rows(views):
+    return np.flatnonzero(views.kinds == binio.KIND_DRONE_CODE)
+
+
 class TestGenerate:
     def test_counts_and_ids(self):
-        feats, manifest = generate(small_cfg(n_buildings=2, views_per_building=3))
-        assert len(feats) == 2 * (1 + 3)
-        assert len(manifest) == len(feats)
-        kinds = [f.kind for f in feats]
-        assert kinds.count("sat") == 2 and kinds.count("drone") == 6
-        assert len({f.view_id for f in feats}) == len(feats)
+        views, manifest = generate(small_cfg(n_buildings=2, views_per_building=3))
+        assert len(views.ids) == 2 * (1 + 3)
+        assert len(manifest) == len(views.ids)
+        kinds = views.kinds.tolist()
+        assert kinds.count(binio.KIND_SAT_CODE) == 2 and kinds.count(binio.KIND_DRONE_CODE) == 6
+        assert len(set(views.ids)) == len(views.ids)
+        assert [rec.view_id for rec in manifest] == views.ids
 
     def test_noise_free_structure(self):
         cfg = small_cfg(noise_sigma=0.0)
-        feats, _ = generate(cfg)
+        views, manifest = generate(cfg)
         by_building = {}
-        for f in feats:
-            by_building.setdefault(f.building_id, []).append(f)
-        for views in by_building.values():
-            sat = next(f for f in views if f.kind == "sat")
-            latent = sat.input_vector[:cfg.latent_dim]
+        for row, rec in enumerate(manifest):
+            by_building.setdefault(rec.building_id, []).append(row)
+        for rows in by_building.values():
+            sat = next(r for r in rows if views.kinds[r] == binio.KIND_SAT_CODE)
+            latent = views.vectors[sat, :cfg.latent_dim]
             assert np.linalg.norm(latent) == pytest.approx(1.0, abs=1e-12)
-            assert sat.input_vector[-2:] == pytest.approx([1.0, 0.0])
-            for f in views:
-                if f.kind == "drone":
+            assert views.vectors[sat, -2:] == pytest.approx([1.0, 0.0])
+            assert views.azimuths[sat] == 0.0
+            for r in rows:
+                if views.kinds[r] == binio.KIND_DRONE_CODE:
                     # same latent, orientation block encodes the azimuth
-                    assert np.array_equal(f.input_vector[:cfg.latent_dim], latent)
-                    rad = math.radians(f.angle_deg)
-                    assert f.input_vector[-2] == pytest.approx(math.cos(rad), abs=1e-12)
-                    assert f.input_vector[-1] == pytest.approx(math.sin(rad), abs=1e-12)
+                    assert np.array_equal(views.vectors[r, :cfg.latent_dim], latent)
+                    rad = math.radians(views.azimuths[r])
+                    assert views.vectors[r, -2] == pytest.approx(math.cos(rad), abs=1e-12)
+                    assert views.vectors[r, -1] == pytest.approx(math.sin(rad), abs=1e-12)
 
     def test_fail_prob_one_masks_every_drone(self):
-        feats, manifest = generate(small_cfg(fail_prob=1.0))
-        assert all(f.masked for f in feats if f.kind == "drone")
+        views, manifest = generate(small_cfg(fail_prob=1.0))
+        assert views.masked[drone_rows(views)].all()
         labels = generate_labels(manifest, LabelConfig(8))
         assert all(lab.masked for lab in labels)
 
     def test_mask_count_default_dataset(self):
         # binomial(2000, 0.1): 140-260 is a 4.5-sigma window; the seeded run
         # gives exactly 206
-        feats, _ = generate(GenConfig(200, 10, 32, 0.5, 0.1, 1, 8))
-        masked = sum(1 for f in feats if f.masked)
+        views, _ = generate(GenConfig(200, 10, 32, 0.5, 0.1, 1, 8))
+        masked = int(views.masked.sum())
         assert masked == 206
         assert 140 <= masked <= 260
 
     @pytest.mark.parametrize("seed", range(4))
     def test_manifest_reproduces_bins(self, seed):
         cfg = small_cfg(seed=seed, noise_sigma=0.7, fail_prob=0.2)
-        feats, manifest = generate(cfg)
+        views, manifest = generate(cfg)
         labels = {lab.view_id: lab for lab in generate_labels(manifest, LabelConfig(cfg.bins))}
-        for f in feats:
-            if f.kind != "drone":
-                continue
-            lab = labels[f.view_id]
-            assert lab.masked == f.masked
-            if not f.masked:
-                assert lab.azimuth_deg == f.angle_deg  # exact, not approx
-                assert lab.bin == bin_of(f.angle_deg, LabelConfig(cfg.bins))
+        for row in drone_rows(views):
+            lab = labels[views.ids[row]]
+            assert lab.masked == views.masked[row]
+            if not views.masked[row]:
+                assert lab.azimuth_deg == views.azimuths[row]  # exact, not approx
+                assert lab.bin == bin_of(views.azimuths[row], LabelConfig(cfg.bins))
 
     def test_determinism_and_seed_sensitivity(self):
         a1, m1 = generate(small_cfg())
         a2, m2 = generate(small_cfg())
         assert m1 == m2
-        for f, g in zip(a1, a2):
-            assert f.view_id == g.view_id and np.array_equal(f.input_vector, g.input_vector)
+        assert a1.ids == a2.ids and np.array_equal(a1.vectors, a2.vectors)
         b, _ = generate(small_cfg(seed=12))
-        assert not np.array_equal(a1[0].input_vector, b[0].input_vector)
+        assert not np.array_equal(a1.vectors[0], b.vectors[0])
 
     def test_per_building_substreams(self):
         # adding buildings must not disturb earlier buildings' draws
         small, _ = generate(small_cfg(n_buildings=3))
         large, _ = generate(small_cfg(n_buildings=6))
-        for f, g in zip(small, large):
-            assert f.view_id == g.view_id
-            assert np.array_equal(f.input_vector, g.input_vector)
-            assert f.angle_deg == g.angle_deg and f.masked == g.masked
+        n = len(small.ids)
+        assert small.ids == large.ids[:n]
+        assert np.array_equal(small.vectors, large.vectors[:n])
+        assert np.array_equal(small.azimuths, large.azimuths[:n])
+        assert np.array_equal(small.masked, large.masked[:n])
 
     def test_invalid_configs(self):
         with pytest.raises(ConfigError):
@@ -116,8 +131,7 @@ class TestGenerate:
 class TestDatasetViews:
     def test_from_features_groups_and_bins(self):
         cfg = small_cfg(fail_prob=0.3, seed=5)
-        feats, _ = generate(cfg)
-        ds = CrossViewDataset.from_features(feats, cfg.bins)
+        ds = CrossViewDataset(*generate(cfg), cfg.bins)
         assert ds.n_buildings == cfg.n_buildings
         assert ds.drone_inputs.shape == (cfg.n_buildings * cfg.views_per_building,
                                          cfg.latent_dim + 2)
@@ -125,14 +139,15 @@ class TestDatasetViews:
             if masked:
                 assert ds.drone_bins[i] == -1
             else:
-                assert ds.drone_bins[i] == bin_of(ds.drone_azimuth_deg[i], ds.label_cfg)
+                assert ds.drone_bins[i] == bin_of(ds.drone_azimuth_deg[i], LabelConfig(cfg.bins))
 
     def test_load_matches_from_features(self, tmp_path):
+        # the in-memory build from generate's views against the file build
         cfg = small_cfg(fail_prob=0.25, seed=9)
-        feats, manifest = generate(cfg)
+        views, manifest = generate(cfg)
         path = tmp_path / "f.bin"
-        save_features(feats, path)
-        direct = CrossViewDataset.from_features(feats, cfg.bins)
+        binio.write_features(path, *views)
+        direct = CrossViewDataset(views, manifest, cfg.bins)
         loaded = CrossViewDataset.load(path, manifest, cfg.bins)
         assert loaded.building_ids == direct.building_ids
         assert loaded.drone_view_ids == direct.drone_view_ids
@@ -144,46 +159,100 @@ class TestDatasetViews:
 
     def test_load_rebins_under_other_bin_count(self, tmp_path):
         cfg = small_cfg(seed=2)
-        feats, manifest = generate(cfg)
+        views, manifest = generate(cfg)
         path = tmp_path / "f.bin"
-        save_features(feats, path)
+        binio.write_features(path, *views)
         coarse = CrossViewDataset.load(path, manifest, 4)
         fine = CrossViewDataset.load(path, manifest, 8)
         assert np.array_equal(coarse.drone_bins, fine.drone_bins // 2)
 
     def test_missing_view_in_manifest(self, tmp_path):
-        feats, manifest = generate(small_cfg())
+        views, manifest = generate(small_cfg())
         path = tmp_path / "f.bin"
-        save_features(feats, path)
-        with pytest.raises(DataError):
-            load_features(path, {})
+        binio.write_features(path, *views)
+        with pytest.raises(DataError, match="missing from manifest"):
+            CrossViewDataset.load(path, [], 8)
 
-    def test_with_mask_cleared(self):
-        cfg = small_cfg(fail_prob=0.5, seed=21)
-        feats, _ = generate(cfg)
-        ds = CrossViewDataset.from_features(feats, cfg.bins)
-        assert ds.drone_masked.any()
-        clear = ds.with_mask_cleared()
-        assert not clear.drone_masked.any()
-        assert (clear.drone_bins >= 0).all()
-        for i in range(len(clear.drone_bins)):
-            assert clear.drone_bins[i] == bin_of(clear.drone_azimuth_deg[i], clear.label_cfg)
-        # original untouched
-        assert ds.drone_masked.any()
+    @pytest.mark.parametrize("dim", [0, 1, 2])
+    def test_no_latent_block_rejected(self, dim):
+        views, manifest = generate(small_cfg())
+        views = views._replace(vectors=views.vectors[:, :dim])
+        with pytest.raises(DataError, match=f"have {dim} columns"):
+            CrossViewDataset(views, manifest, 8)
 
     def test_relevance_maps(self):
-        feats, _ = generate(small_cfg(n_buildings=2, views_per_building=3))
-        d2s, s2d = relevance_maps(feats)
+        _, manifest = generate(small_cfg(n_buildings=2, views_per_building=3))
+        d2s, s2d = relevance_maps(manifest)
         assert len(d2s) == 6 and len(s2d) == 2
         assert d2s["b0000_d01"] == {"b0000_sat"}
         assert s2d["b0001_sat"] == {"b0001_d00", "b0001_d01", "b0001_d02"}
 
 
+DATASET_FIELDS = ("building_ids", "sat_view_ids", "sat_inputs", "drone_inputs",
+                  "drone_view_ids", "drone_building_idx", "drone_azimuth_deg",
+                  "drone_masked", "drone_bins", "drone_order", "drone_counts")
+
+
+def _assert_same_dataset(got, want):
+    for name in DATASET_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, list):
+            assert a == b, name
+        else:
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+
+
+class TestMatchesObjectForms:
+    """The view table and the one dataset builder equal the object-form
+    generator, from_features and load exactly, in memory and through a
+    FEA1 file."""
+
+    @pytest.mark.parametrize("bins", [2, 8, 16])
+    @pytest.mark.parametrize("fail_prob", [0.0, 0.2, 1.0])
+    def test_builder(self, tmp_path, fail_prob, bins):
+        for seed in range(6):
+            cfg = small_cfg(seed=seed, noise_sigma=0.7, fail_prob=fail_prob, bins=bins)
+            views, manifest = generate(cfg)
+            feats, ref_manifest = generate_objects(cfg)
+            assert manifest == ref_manifest
+            assert views.ids == [f.view_id for f in feats]
+            assert np.array_equal(views.vectors, np.stack([f.input_vector for f in feats]))
+            assert np.array_equal(views.azimuths, [f.angle_deg for f in feats])
+            assert np.array_equal(views.masked, [f.masked for f in feats])
+            _assert_same_dataset(CrossViewDataset(views, manifest, bins),
+                                 ObjectDataset.from_features(feats, bins))
+
+            path, ref_path = tmp_path / f"{seed}.bin", tmp_path / f"{seed}_ref.bin"
+            binio.write_features(path, *views)
+            save_features(feats, ref_path)
+            assert path.read_bytes() == ref_path.read_bytes()
+            _assert_same_dataset(CrossViewDataset.load(path, manifest, bins),
+                                 ObjectDataset.load(path, manifest, bins))
+
+    def test_manifest_is_the_only_labelling_authority(self, tmp_path):
+        cfg = small_cfg(seed=3, fail_prob=0.3)
+        views, manifest = generate(cfg)
+        # the views' own mask and azimuth columns disagree with the manifest
+        views = views._replace(masked=~views.masked, azimuths=np.full(len(views.ids), 123.0))
+        manifest = [dataclasses.replace(rec, status="failed")
+                    if row % 3 == 1 and rec.kind == "drone" else rec
+                    for row, rec in enumerate(manifest)]
+        path = tmp_path / "f.bin"
+        binio.write_features(path, *views)
+        loaded = CrossViewDataset.load(path, manifest, cfg.bins)
+        _assert_same_dataset(loaded, ObjectDataset.load(path, manifest, cfg.bins))
+        in_memory = CrossViewDataset(views, manifest, cfg.bins)
+        labels = generate_labels(manifest, LabelConfig(cfg.bins))
+        assert in_memory.drone_masked.tolist() == [lab.masked for lab in labels]
+        assert np.array_equal(in_memory.drone_bins, loaded.drone_bins)
+        assert np.array_equal(in_memory.drone_azimuth_deg, loaded.drone_azimuth_deg)
+
+
 class TestBatchSampler:
     def _dataset(self, **over):
         cfg = small_cfg(**over)
-        feats, _ = generate(cfg)
-        return CrossViewDataset.from_features(feats, cfg.bins)
+        return CrossViewDataset(*generate(cfg), cfg.bins)
 
     def test_batch_shape_and_distinct_buildings(self):
         ds = self._dataset()
@@ -240,8 +309,7 @@ class TestBatchSampler:
         # each building's drone views should be picked equally often in the
         # long run; chi-square over 10^4 epochs at alpha = 0.01
         cfg = small_cfg(n_buildings=2, views_per_building=5, seed=1)
-        feats, _ = generate(cfg)
-        ds = CrossViewDataset.from_features(feats, cfg.bins)
+        ds = CrossViewDataset(*generate(cfg), cfg.bins)
         sampler = BatchSampler(ds, 2, np.random.default_rng(123))
         counts = np.zeros(len(ds.drone_view_ids), dtype=np.int64)
         epochs = 10_000
@@ -284,8 +352,7 @@ class _ForcedRng:
 class TestAlignedRotation:
     def _batch(self, **over):
         cfg = small_cfg(**over)
-        feats, _ = generate(cfg)
-        ds = CrossViewDataset.from_features(feats, cfg.bins)
+        ds = CrossViewDataset(*generate(cfg), cfg.bins)
         sampler = BatchSampler(ds, cfg.n_buildings, np.random.default_rng(5))
         return sampler.sample_batch(), LabelConfig(cfg.bins), ds
 
@@ -345,16 +412,16 @@ def _uneven_dataset(seed, max_views, fail_prob=0.3, bins=8):
     """Ten buildings keeping 1..max_views drone views each."""
     cfg = small_cfg(n_buildings=10, views_per_building=max_views, seed=seed,
                     fail_prob=fail_prob, bins=bins)
-    feats, _ = generate(cfg)
+    views, manifest = generate(cfg)
     keep = np.random.default_rng(seed).integers(1, max_views + 1, size=cfg.n_buildings)
     kept, seen = [], {}
-    for f in feats:
-        if f.kind == "drone":
-            seen[f.building_id] = seen.get(f.building_id, 0) + 1
-            if seen[f.building_id] > keep[int(f.building_id[1:])]:
+    for row, rec in enumerate(manifest):
+        if rec.kind == "drone":
+            seen[rec.building_id] = seen.get(rec.building_id, 0) + 1
+            if seen[rec.building_id] > keep[int(rec.building_id[1:])]:
                 continue
-        kept.append(f)
-    return CrossViewDataset.from_features(kept, bins)
+        kept.append(row)
+    return CrossViewDataset(take(views, kept), manifest, bins)
 
 
 def _assert_same(got, want):

@@ -247,6 +247,18 @@ class TestManifestIO:
         records = read_manifest(path)
         assert records[1].status == "failed"
 
+    @pytest.mark.parametrize("status", ["ok", "failed"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_rejected(self, tmp_path, status, value):
+        path = tmp_path / "m.csv"
+        path.write_text(
+            "view_id,building_id,kind,x,y,z,status\n"
+            "s0,b0,sat,0,0,0,ok\n"
+            f"d0,b0,drone,0,{value},50,{status}\n"
+        )
+        with pytest.raises(ManifestError, match=r":3: coordinate is not finite"):
+            read_manifest(path)
+
 
 class TestLabelIO:
     def test_round_trip(self, tmp_path):

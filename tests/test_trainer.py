@@ -24,8 +24,8 @@ from skyalign.trainer import (
 
 
 def small_dataset(n_buildings=10, views=3, seed=5, fail_prob=0.0, bins=8):
-    feats, _ = generate(GenConfig(n_buildings, views, 6, 0.3, fail_prob, seed, bins))
-    return CrossViewDataset.from_features(feats, bins)
+    return CrossViewDataset(*generate(GenConfig(n_buildings, views, 6, 0.3, fail_prob, seed, bins)),
+                            bins)
 
 
 def tiny_params(value=1.0, head_rows=4):
@@ -258,8 +258,7 @@ class TestDefaultRunSmoke:
     """
 
     def test_final_epoch_beats_first(self):
-        feats, _ = generate(GenConfig(200, 10, 32, 0.5, 0.1, 1, 8))
-        ds = CrossViewDataset.from_features(feats, 8)
+        ds = CrossViewDataset(*generate(GenConfig(200, 10, 32, 0.5, 0.1, 1, 8)), 8)
         cfg = TrainConfig(peak_lr=0.01, epochs=20, batch_size=64, seed=0)
         _, log = train(cfg, ds)
         assert len(log) == 20 * 4
