@@ -10,6 +10,7 @@ exits 3, with the one line ``io error: <strerror>: <filename>``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -26,6 +27,7 @@ from .retrieval_eval import (
     FUSION_RECIPROCAL_RANK,
     FUSION_SCORE_MEAN,
     ScoreTable,
+    evaluate,
     fuse,
     read_relevance,
     score_table,
@@ -135,6 +137,8 @@ def _load_query_gallery(args):
         raise ConfigError(f"--dim must be >= 1, got {args.dim}")
     gallery = EmbeddingSet.load(_require_file(args.gallery))
     queries = EmbeddingSet.load(_require_file(args.queries))
+    if not queries.ids:
+        raise DataError(f"{args.queries}: no query embeddings")
     if args.dim is not None:
         gallery = truncate_dim(gallery, args.dim)
         queries = truncate_dim(queries, args.dim)
@@ -145,8 +149,11 @@ def cmd_eval(args) -> None:
     ks = _int_list(args.k, "--k", 1)
     gallery, queries = _load_query_gallery(args)
     relevance = read_relevance(_require_file(args.relevance))
-    table = score_table(gallery, queries)
-    rows = table_metrics(table, relevance, ks)
+    if args.dump_scores:  # the CSV needs the dense table
+        table = score_table(gallery, queries)
+        rows = table_metrics(table, relevance, ks)
+    else:
+        rows = evaluate(queries, gallery, relevance, ks)
     write_metrics(rows, args.out)
     if args.dump_scores:
         table.save(args.dump_scores)
@@ -183,10 +190,19 @@ def _sweep_inputs(args):
     return cfg, features_path, manifest, seeds
 
 
-def _check_writable(path) -> None:
+@contextlib.contextmanager
+def _sweep_output(path):
     """Raise now, before any training, the OSError that writing path would
-    raise later; an existing file is left as it is."""
+    raise later; an existing file is left as it is.  If the sweep then fails,
+    a file created by this check is removed again."""
+    created = not os.path.exists(path)
     open(path, "a", encoding="utf-8").close()
+    try:
+        yield
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
 
 
 def cmd_ablate_bins(args) -> None:
@@ -206,9 +222,9 @@ def cmd_ablate_bins(args) -> None:
             bins_list.append(_bin_count(bins))
     if not bins_list:
         raise ConfigError("need at least one bins setting")
-    _check_writable(args.out)
-    rows = ablations.ablate_bins(features_path, manifest, cfg, bins_list, seeds)
-    ablations.write_sweep_csv(rows, ["bins", "seed", "recall_at_1", "ap"], args.out)
+    with _sweep_output(args.out):
+        rows = ablations.ablate_bins(features_path, manifest, cfg, bins_list, seeds)
+        ablations.write_sweep_csv(rows, ["bins", "seed", "recall_at_1", "ap"], args.out)
     for setting, mean in ablations.summarize(rows, "bins").items():
         print(f"bins={setting}: mean R@1 = {mean:.4f}")
     print(f"wrote sweep to {args.out}")
@@ -219,9 +235,9 @@ def cmd_ablate_dim(args) -> None:
     dims = _int_list(args.dims, "--dims", 1)
     if not dims:
         raise ConfigError("need at least one dim")
-    _check_writable(args.out)
-    rows = ablations.ablate_dim(features_path, manifest, cfg, dims, seeds)
-    ablations.write_sweep_csv(rows, ["embed_dim", "seed", "recall_at_1", "ap"], args.out)
+    with _sweep_output(args.out):
+        rows = ablations.ablate_dim(features_path, manifest, cfg, dims, seeds)
+        ablations.write_sweep_csv(rows, ["embed_dim", "seed", "recall_at_1", "ap"], args.out)
     for setting, mean in ablations.summarize(rows, "embed_dim").items():
         print(f"embed_dim={setting}: mean R@1 = {mean:.4f}")
     print(f"wrote sweep to {args.out}")

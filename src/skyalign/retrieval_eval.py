@@ -23,11 +23,28 @@ At 160 000 x 384 gallery rows, 1 000 queries and k = 10, the benchmark's
 search pass took 1.18 s against 1.77 s with argpartition on every block
 (medians of 10 seeds; 2-vCPU x86-64 VM, OpenBLAS threads unset).  Traced,
 selection beyond the bare blocked matmul fell from 1.01 s to 0.41 s.
+
+R@K and AP come from the rank of each relevant item: 1 + the scores above
+it + the equal ones in earlier (lower-id) columns.  table_metrics counts
+ranks in a dense ScoreTable; evaluate never builds one.  It scores the
+queries in blocks of max(DEFAULT_QUERY_BLOCK, 2**20 // gallery size) rows
+into one reused buffer and keeps only each relevant pair's rank; both count
+ranks by gathering 2**20 scores at a time.  The queries are split into equal
+blocks, sizes differing by at most 1, because the BLAS kernel can depend on
+the block's row count: a lone 1-row block would go through gemv, whose
+scores differ in the last bits from the dense product (and so did AP, at a
+160 000 x 384 gallery), while blocks of 2 to 30 rows gave the dense
+product's bits.  With equal blocks, each is at least half the row cap when
+there are several, so a 1-row block comes only from a single query, whose
+dense product is one row too.  At 160 000 x 384 gallery rows and 1 000
+queries, evaluate's tracemalloc peak is 170 MB against 685 MB for the dense
+table.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -47,6 +64,7 @@ from .errors import (
 
 DEFAULT_GALLERY_BLOCK = 8192
 DEFAULT_QUERY_BLOCK = 256
+_BLOCK_VALUES = 1 << 20  # scores per evaluate block (at least) and per rank gather
 
 
 @dataclass
@@ -290,11 +308,19 @@ class ScoreTable:
     scores: np.ndarray
 
     def save(self, path) -> None:
+        """A query_id header row, then one row per query.  Only the header
+        and the ids go through csv.writer, which quotes them; the scores of a
+        row are joined from tolist(), whose floats repr as float(v) does."""
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["query_id"] + self.gallery_ids)
-            for i, qid in enumerate(self.query_ids):
-                writer.writerow([qid] + [repr(float(v)) for v in self.scores[i]])
+            cell = io.StringIO()
+            lead = csv.writer(cell)
+            for qid, row in zip(self.query_ids, self.scores.tolist()):
+                cell.seek(0)
+                cell.truncate()
+                lead.writerow([qid, ""] if row else [qid])  # "<id>,\r\n" or "<id>\r\n"
+                fh.write(cell.getvalue()[:-2] + ",".join(map(repr, row)) + "\r\n")
 
     @classmethod
     def load(cls, path) -> "ScoreTable":
@@ -443,16 +469,16 @@ def metrics_from_rankings(rankings: list[RankedList], relevance: dict[str, set[s
     return rows
 
 
-def table_metrics(table: ScoreTable, relevance: dict[str, set[str]],
-                  ks: list[int]) -> list[tuple[str, str, float]]:
-    """metrics_from_rankings' rows from the rank of each relevant item: 1 +
-    the items scoring higher + the equal-scoring ones in earlier columns, which
-    is top_k's tie rule when gallery columns are in ascending id order."""
+def _relevant_pairs(query_ids: list[str], gallery_ids: list[str],
+                    relevance: dict[str, set[str]], ks: list[int]):
+    """(query row, gallery column) of every relevant pair, rows ascending."""
     if min(ks, default=1) < 1:
         raise ValueError("k must be >= 1")
-    col = dict(zip(table.gallery_ids, range(len(table.gallery_ids))))
+    if not query_ids:
+        raise DataError("no queries to score")
+    col = dict(zip(gallery_ids, range(len(gallery_ids))))
     pairs = []
-    for i, qid in enumerate(table.query_ids):
+    for i, qid in enumerate(query_ids):
         if qid not in relevance:
             raise UnknownQuery(f"query {qid!r} missing from relevance map")
         cols = [col.get(g, -1) for g in relevance[qid]]
@@ -460,25 +486,64 @@ def table_metrics(table: ScoreTable, relevance: dict[str, set[str]],
             raise DataError(f"query {qid!r}: relevant set empty or not in gallery")
         pairs += [(i, c) for c in cols]
     qrow, rcol = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    rank = np.empty(len(qrow), dtype=np.int64)
-    step = max(1, (1 << 22) // max(1, len(col)))  # score rows compared at once
+    return qrow, rcol
+
+
+def _count_ranks(scores: np.ndarray, qrow: np.ndarray, rcol: np.ndarray,
+                 out: np.ndarray) -> None:
+    """out[i] = the rank of column rcol[i] in score row qrow[i]: 1 + the
+    scores above it + the equal ones in earlier columns.  The rows are
+    gathered _BLOCK_VALUES scores at a time."""
+    step = max(1, _BLOCK_VALUES // max(1, scores.shape[1]))
+    pos = np.arange(scores.shape[1])
     for s in range(0, len(qrow), step):
-        block, c = table.scores[qrow[s:s + step]], rcol[s:s + step, None]
-        v, pos = np.take_along_axis(block, c, axis=1), np.arange(block.shape[1])
-        rank[s:s + step] = 1 + ((block > v) | (block == v) & (pos < c)).sum(axis=1)
+        block, c = scores[qrow[s:s + step]], rcol[s:s + step, None]
+        v = np.take_along_axis(block, c, axis=1)
+        out[s:s + step] = 1 + ((block > v) | (block == v) & (pos < c)).sum(axis=1)
+
+
+def _rank_metrics(qrow: np.ndarray, rank: np.ndarray, n_queries: int,
+                  ks: list[int]) -> list[tuple[str, str, float]]:
+    """R@k per k and mean AP from each relevant pair's rank."""
     rank = rank[np.lexsort((rank, qrow))]
     hit = np.arange(len(qrow)) - np.searchsorted(qrow, qrow)
-    prec = np.zeros((len(table.query_ids), hit.max(initial=0) + 1))
+    prec = np.zeros((n_queries, hit.max(initial=0) + 1))
     prec[qrow, hit] = (hit + 1) / rank  # summed in rank order, as average_precision does
     ap = np.cumsum(prec, axis=1)[:, -1] / np.bincount(qrow, minlength=len(prec))
     rows = [("recall", str(k), float(np.mean(rank[hit == 0] <= k))) for k in ks]
     return rows + [("ap", "", float(np.mean(ap)))]
 
 
+def table_metrics(table: ScoreTable, relevance: dict[str, set[str]],
+                  ks: list[int]) -> list[tuple[str, str, float]]:
+    """metrics_from_rankings' rows from the rank of each relevant item: 1 +
+    the items scoring higher + the equal-scoring ones in earlier columns, which
+    is top_k's tie rule when gallery columns are in ascending id order."""
+    qrow, rcol = _relevant_pairs(table.query_ids, table.gallery_ids, relevance, ks)
+    rank = np.empty(len(qrow), dtype=np.int64)
+    _count_ranks(table.scores, qrow, rcol, rank)
+    return _rank_metrics(qrow, rank, len(table.query_ids), ks)
+
+
 def evaluate(queries: EmbeddingSet, gallery: EmbeddingSet,
              relevance: dict[str, set[str]], ks: list[int]) -> list[tuple[str, str, float]]:
-    """Score every query against the gallery, then R@k and mean AP."""
-    return table_metrics(score_table(gallery, queries), relevance, ks)
+    """table_metrics(score_table(gallery, queries), relevance, ks), scored in
+    equal query blocks into one reused buffer; only the ranks are kept."""
+    if gallery.dim != queries.dim:
+        raise DimMismatch(f"gallery dim {gallery.dim} != query dim {queries.dim}")
+    gids, gmat = _id_ordered(gallery)
+    qrow, rcol = _relevant_pairs(queries.ids, gids, relevance, ks)
+    nq = len(queries.ids)
+    n_blocks = -(-nq // max(DEFAULT_QUERY_BLOCK, _BLOCK_VALUES // max(1, len(gids))))
+    edges = [b * nq // n_blocks for b in range(n_blocks + 1)]  # sizes differ by at most 1
+    buf = np.empty((-(-nq // n_blocks), len(gids)),
+                   dtype=np.result_type(queries.matrix, gmat))
+    rank = np.empty(len(qrow), dtype=np.int64)
+    for q0, q1 in zip(edges, edges[1:]):
+        p0, p1 = np.searchsorted(qrow, [q0, q1])
+        scores = np.matmul(queries.matrix[q0:q1], gmat.T, out=buf[:q1 - q0])
+        _count_ranks(scores, qrow[p0:p1] - q0, rcol[p0:p1], rank[p0:p1])
+    return _rank_metrics(qrow, rank, nq, ks)
 
 
 def write_metrics(rows: list[tuple[str, str, float]], path) -> None:

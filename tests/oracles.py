@@ -5,12 +5,15 @@ functions, deliberately independent of the vectorized numpy routes in the
 package.  Tests compare the two routes; neither is derived from the other.
 The loop-form references are exact-equality references for the training
 batch path, for InfoNCE's gradient and for top_k's block selection; the
-object-form references at the end are those for the generator's view table
-and the dataset builder.
+object-form references after them are those for the generator's view table
+and the dataset builder; and the dense-table metric path and the csv.writer
+score-table save at the end are those for the streaming evaluate and the
+joined-row ScoreTable.save.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -27,7 +30,7 @@ from skyalign.dataset import (
     GenConfig,
     TrainBatch,
 )
-from skyalign.errors import DataError
+from skyalign.errors import DataError, UnknownQuery
 from skyalign.objectives import _log_softmax, _smoothed_ce_rows
 from skyalign.pose_geometry import (
     KIND_DRONE,
@@ -41,7 +44,7 @@ from skyalign.pose_geometry import (
     relative_azimuth,
     rotate_label,
 )
-from skyalign.retrieval_eval import _block_candidates, _id_ordered, _merge
+from skyalign.retrieval_eval import _block_candidates, _id_ordered, _merge, score_table
 
 
 def softmax_row(row):
@@ -501,3 +504,53 @@ class ObjectDataset:
             lab.view_id: lab.bin for lab in labels if not lab.masked
         }
         return cls.from_features(features, bins, bins_by_view)
+
+
+# --- the dense-table metric path and the csv.writer score-table save, as they
+# were before evaluate streamed query blocks and save joined score rows.
+
+def dense_table_metrics(table, relevance: dict[str, set[str]],
+                        ks: list[int]) -> list[tuple[str, str, float]]:
+    """metrics_from_rankings' rows from the rank of each relevant item: 1 +
+    the items scoring higher + the equal-scoring ones in earlier columns, which
+    is top_k's tie rule when gallery columns are in ascending id order."""
+    if min(ks, default=1) < 1:
+        raise ValueError("k must be >= 1")
+    col = dict(zip(table.gallery_ids, range(len(table.gallery_ids))))
+    pairs = []
+    for i, qid in enumerate(table.query_ids):
+        if qid not in relevance:
+            raise UnknownQuery(f"query {qid!r} missing from relevance map")
+        cols = [col.get(g, -1) for g in relevance[qid]]
+        if not cols or -1 in cols:
+            raise DataError(f"query {qid!r}: relevant set empty or not in gallery")
+        pairs += [(i, c) for c in cols]
+    qrow, rcol = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    rank = np.empty(len(qrow), dtype=np.int64)
+    step = max(1, (1 << 22) // max(1, len(col)))  # score rows compared at once
+    for s in range(0, len(qrow), step):
+        block, c = table.scores[qrow[s:s + step]], rcol[s:s + step, None]
+        v, pos = np.take_along_axis(block, c, axis=1), np.arange(block.shape[1])
+        rank[s:s + step] = 1 + ((block > v) | (block == v) & (pos < c)).sum(axis=1)
+    rank = rank[np.lexsort((rank, qrow))]
+    hit = np.arange(len(qrow)) - np.searchsorted(qrow, qrow)
+    prec = np.zeros((len(table.query_ids), hit.max(initial=0) + 1))
+    prec[qrow, hit] = (hit + 1) / rank  # summed in rank order, as average_precision does
+    ap = np.cumsum(prec, axis=1)[:, -1] / np.bincount(qrow, minlength=len(prec))
+    rows = [("recall", str(k), float(np.mean(rank[hit == 0] <= k))) for k in ks]
+    return rows + [("ap", "", float(np.mean(ap)))]
+
+
+def dense_evaluate(queries, gallery, relevance: dict[str, set[str]],
+                   ks: list[int]) -> list[tuple[str, str, float]]:
+    """Score every query against the gallery, then R@k and mean AP."""
+    return dense_table_metrics(score_table(gallery, queries), relevance, ks)
+
+
+def csv_writer_save(table, path) -> None:
+    """ScoreTable.save with every cell through csv.writer."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["query_id"] + table.gallery_ids)
+        for i, qid in enumerate(table.query_ids):
+            writer.writerow([qid] + [repr(float(v)) for v in table.scores[i]])

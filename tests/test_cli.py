@@ -11,6 +11,7 @@ import pytest
 
 from skyalign import binio
 from skyalign.cli import main
+from skyalign.errors import NonFiniteLoss
 from skyalign.model import init, load_checkpoint
 from skyalign.retrieval_eval import EmbeddingSet
 
@@ -564,6 +565,22 @@ class TestEval:
                      "--out", str(tmp_path / "m.csv")])
         assert code == 3
 
+    @pytest.mark.parametrize("empty_gallery", [False, True], ids=["queries", "both"])
+    @pytest.mark.parametrize("dump", [False, True], ids=["metrics", "dump-scores"])
+    def test_empty_query_set_exits_3(self, pipeline, tmp_path, capsys, empty_gallery, dump):
+        dim = EmbeddingSet.load(pipeline["emb"]["sat"]).dim
+        empty = tmp_path / "empty.bin"
+        binio.write_embeddings(empty, [], np.zeros((0, dim), dtype=np.float32))
+        out = tmp_path / "m.csv"
+        argv = ["eval", "--gallery", str(empty) if empty_gallery else pipeline["emb"]["sat"],
+                "--queries", str(empty), "--relevance",
+                os.path.join(pipeline["data"], "relevance_drone2sat.csv"), "--out", str(out)]
+        if dump:
+            argv += ["--dump-scores", str(tmp_path / "s.csv")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"data error: {empty}: no query embeddings\n"
+        assert not out.exists() and not (tmp_path / "s.csv").exists()
+
     def test_bad_k_list_exits_2(self, pipeline, tmp_path):
         code = main(["eval", "--gallery", pipeline["emb"]["sat"],
                      "--queries", pipeline["emb"]["drone"],
@@ -663,3 +680,25 @@ class TestAblations:
         lines = out.read_text(encoding="utf-8").strip().split("\n")
         assert lines[0] == "embed_dim,seed,recall_at_1,ap"
         assert len(lines) == 5
+
+    @pytest.mark.parametrize("argv", [["ablate-bins", "--bins", "8"],
+                                      ["ablate-dim", "--dims", "8"]],
+                             ids=["ablate-bins", "ablate-dim"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+    def test_failed_sweep_leaves_out_as_it_was(self, pipeline, tmp_path, capsys, monkeypatch,
+                                               argv, existing):
+        def diverged(*args, **kwargs):
+            raise NonFiniteLoss("loss is not finite at step 1")
+
+        monkeypatch.setattr("skyalign.ablations.train", diverged)
+        out = tmp_path / "sweep.csv"
+        if existing:
+            out.write_bytes(b"earlier,contents\r\n")
+        code = main([*argv, "--config", pipeline["train_cfg"], "--data", pipeline["data"],
+                     "--seeds", "0", "--out", str(out)])
+        assert code == 4
+        assert capsys.readouterr().err == "numeric error: loss is not finite at step 1\n"
+        if existing:
+            assert out.read_bytes() == b"earlier,contents\r\n"
+        else:
+            assert not out.exists()

@@ -9,6 +9,7 @@ thread count, and BLAS kernel, and ties are exact rather than ulp-close.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,7 +45,15 @@ from skyalign.retrieval_eval import (
     write_relevance,
 )
 
-from oracles import naive_average_precision, naive_recall_at_k, naive_topk, whole_block_topk
+from oracles import (
+    csv_writer_save,
+    dense_evaluate,
+    dense_table_metrics,
+    naive_average_precision,
+    naive_recall_at_k,
+    naive_topk,
+    whole_block_topk,
+)
 
 
 def dyadic_set(rng, n, dim, prefix):
@@ -496,6 +505,27 @@ class TestScoreTable:
         with pytest.raises(DataError, match="no query rows or no gallery columns"):
             ScoreTable.load(path)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_save_matches_csv_writer_bytes(self, tmp_path, dtype):
+        # ids that csv.writer must quote, an empty id (written bare when other
+        # cells follow) and scores of both dtypes a table can hold
+        odd = ["", "a,b", 'say "hi"', "two\nlines", " lead", "plain"]
+        rng = np.random.default_rng(3)
+        tab = ScoreTable(odd, [f"g{g}" for g in odd],
+                         rng.standard_normal((len(odd), len(odd))).astype(dtype))
+        tab.save(tmp_path / "fast.csv")
+        csv_writer_save(tab, tmp_path / "ref.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        back = ScoreTable.load(tmp_path / "fast.csv")
+        assert back.query_ids == odd and back.gallery_ids == tab.gallery_ids
+        np.testing.assert_array_equal(back.scores, tab.scores.astype(float))
+
+    def test_save_without_gallery_columns_matches_csv_writer_bytes(self, tmp_path):
+        tab = ScoreTable(["", "q,1", "q2"], [], np.zeros((3, 0), dtype=np.float32))
+        tab.save(tmp_path / "fast.csv")
+        csv_writer_save(tab, tmp_path / "ref.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     @pytest.mark.parametrize("text", ["query_id,g0,g0\nq0,1.0,0.5\n",
                                       "query_id,g0\nq0,1.0\nq0,0.5\n"])
     def test_duplicate_ids_rejected(self, tmp_path, text):
@@ -641,7 +671,7 @@ class TestRelevanceAndMetricsIO:
 
 
 class TestRankOfRelevantMetrics:
-    """table_metrics (and evaluate through it) must give exactly the rows of
+    """table_metrics and evaluate must give exactly the rows of
     metrics_from_rankings over full rankings.  A coarse dyadic grid (values
     in {-2..2}/64, dim <= 4) makes tied scores common, including ties that
     straddle relevant and non-relevant items."""
@@ -706,3 +736,103 @@ class TestRankOfRelevantMetrics:
         es = EmbeddingSet(["a"], np.eye(1, dtype=np.float32))
         with pytest.raises(ValueError):
             evaluate(es, es, {"a": {"a"}}, [0])
+
+
+class TestStreamingEvaluate:
+    """evaluate scores equal query blocks into one buffer and keeps only the
+    ranks; it must give exactly the rows of the dense-table path, of
+    table_metrics(score_table(...)) and of metrics_from_rankings(top_k(...)).
+    The coarse dyadic grid makes ties common and every summation order exact,
+    so any block layout gives the same bits."""
+
+    KS = [1, 2, 3, 5, 10]
+
+    def random_case(self, rng):
+        n_gallery = int(rng.integers(1, 40))
+        dim = int(rng.integers(1, 5))
+        coarse = TestRankOfRelevantMetrics.coarse_set
+        gallery = coarse(rng, n_gallery, dim, "g")
+        queries = coarse(rng, int(rng.integers(1, 30)), dim, "q")
+        rel = {q: set(rng.choice(gallery.ids, size=min(n_gallery, int(rng.integers(1, 13))),
+                                 replace=False).tolist())
+               for q in queries.ids}
+        return gallery, queries, rel
+
+    # (DEFAULT_QUERY_BLOCK, _BLOCK_VALUES): one row a block and one pair a
+    # gather; uneven 2- and 3-row blocks; blocks sized by the gallery term
+    @pytest.mark.parametrize("query_block,block_values", [(1, 1), (3, 1), (2, 7), (1, 100),
+                                                          (4, 90), (256, 1 << 20)])
+    def test_equals_dense_path_over_block_layouts(self, monkeypatch, query_block,
+                                                  block_values):
+        monkeypatch.setattr(retrieval_eval, "DEFAULT_QUERY_BLOCK", query_block)
+        monkeypatch.setattr(retrieval_eval, "_BLOCK_VALUES", block_values)
+        blocks = []
+        matmul = np.matmul
+
+        def spy(a, b, out):
+            blocks.append(out.shape[0])
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(retrieval_eval.np, "matmul", spy)
+        rng = np.random.default_rng(21)
+        several = 0
+        for _ in range(60):
+            gallery, queries, rel = self.random_case(rng)
+            blocks.clear()
+            rows = evaluate(queries, gallery, rel, self.KS)
+            assert sum(blocks) == len(queries.ids)
+            assert max(blocks) - min(blocks) <= 1
+            several += len(blocks) > 1
+            assert rows == dense_evaluate(queries, gallery, rel, self.KS)
+            assert rows == table_metrics(score_table(gallery, queries), rel, self.KS)
+            full = top_k(gallery, queries, len(gallery.ids))
+            assert rows == metrics_from_rankings(full, rel, self.KS)
+        assert several > 0 or query_block == 256
+
+    def test_table_metrics_equals_dense_path_on_float64_tables(self):
+        rng = np.random.default_rng(22)
+        for _ in range(40):
+            gallery, queries, rel = self.random_case(rng)
+            tab = score_table(gallery, queries)
+            tab = ScoreTable(tab.query_ids, tab.gallery_ids,
+                             np.round(rng.standard_normal(tab.scores.shape), 1))
+            assert table_metrics(tab, rel, self.KS) == dense_table_metrics(tab, rel, self.KS)
+
+    def test_peak_memory_is_a_fraction_of_the_dense_table(self):
+        # 2 000 x 20 000 float32 scores would take 160 MB
+        rng = np.random.default_rng(23)
+        gallery = EmbeddingSet.from_rows([f"g{i:05d}" for i in range(20_000)],
+                                         rng.standard_normal((20_000, 8)))
+        queries = EmbeddingSet.from_rows([f"q{i:04d}" for i in range(2_000)],
+                                         rng.standard_normal((2_000, 8)))
+        rel = {q: {gallery.ids[i * 10]} for i, q in enumerate(queries.ids)}
+        tracemalloc.start()
+        try:
+            evaluate(queries, gallery, rel, [1, 5])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 160e6 / 4
+
+    @pytest.mark.parametrize("case", ["dim-k-unknown", "k-unknown", "unknown-then-missing",
+                                      "missing-then-unknown"])
+    def test_error_precedence_as_dense_path(self, case):
+        # DimMismatch first, then k < 1, then the first bad query in row order
+        es = EmbeddingSet(["a", "b"], np.eye(2, dtype=np.float32))
+        wide = EmbeddingSet(["a", "b"], np.eye(2, 3, dtype=np.float32))
+        gallery, ks, rel, err = {
+            "dim-k-unknown": (wide, [0], {}, DimMismatch),
+            "k-unknown": (es, [0], {}, ValueError),
+            "unknown-then-missing": (es, [1], {"b": {"zz"}}, UnknownQuery),
+            "missing-then-unknown": (es, [1], {"a": {"zz"}}, DataError),
+        }[case]
+        for route in (evaluate, dense_evaluate):
+            with pytest.raises(err):
+                route(es, gallery, rel, ks)
+
+    def test_empty_query_set_rejected(self):
+        es = EmbeddingSet(["a"], np.eye(1, dtype=np.float32))
+        none = EmbeddingSet([], np.zeros((0, 1), dtype=np.float32))
+        for gallery in (es, none):
+            with pytest.raises(DataError, match="no queries"):
+                evaluate(none, gallery, {"a": {"a"}}, [1])
