@@ -149,14 +149,10 @@ def cmd_eval(args) -> None:
     ks = _int_list(args.k, "--k", 1)
     gallery, queries = _load_query_gallery(args)
     relevance = read_relevance(_require_file(args.relevance))
-    if args.dump_scores:  # the CSV needs the dense table
-        table = score_table(gallery, queries)
-        rows = table_metrics(table, relevance, ks)
-    else:
-        rows = evaluate(queries, gallery, relevance, ks)
+    rows = evaluate(queries, gallery, relevance, ks)
     write_metrics(rows, args.out)
     if args.dump_scores:
-        table.save(args.dump_scores)
+        score_table(gallery, queries).save(args.dump_scores)
     for metric, k, value in rows:
         label = f"{metric}@{k}" if k else metric
         print(f"{label} = {value:.4f}")

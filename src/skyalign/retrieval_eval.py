@@ -26,10 +26,12 @@ selection beyond the bare blocked matmul fell from 1.01 s to 0.41 s.
 
 R@K and AP come from the rank of each relevant item: 1 + the scores above
 it + the equal ones in earlier (lower-id) columns.  table_metrics counts
-ranks in a dense ScoreTable; evaluate never builds one.  It scores the
-queries in blocks of max(DEFAULT_QUERY_BLOCK, 2**20 // gallery size) rows
-into one reused buffer and keeps only each relevant pair's rank; both count
-ranks by gathering 2**20 scores at a time.  The queries are split into equal
+ranks in a dense ScoreTable.  evaluate scores the queries in blocks of at
+most max(DEFAULT_QUERY_BLOCK, 2**20 // gallery size) rows into one reused
+buffer and keeps only each relevant pair's rank, so its memory is bounded
+by that buffer: it grows with the gallery, not with the query count, and
+for at most DEFAULT_QUERY_BLOCK queries the buffer is the whole table.
+Both count ranks by gathering 2**20 scores at a time.  The queries are split into equal
 blocks, sizes differing by at most 1, because the BLAS kernel can depend on
 the block's row count: a lone 1-row block would go through gemv, whose
 scores differ in the last bits from the dense product (and so did AP, at a
@@ -64,7 +66,7 @@ from .errors import (
 
 DEFAULT_GALLERY_BLOCK = 8192
 DEFAULT_QUERY_BLOCK = 256
-_BLOCK_VALUES = 1 << 20  # scores per evaluate block (at least) and per rank gather
+_BLOCK_VALUES = 1 << 20  # scores per rank gather; an evaluate block holds max(this, DEFAULT_QUERY_BLOCK rows)
 
 
 @dataclass
@@ -316,7 +318,8 @@ class ScoreTable:
             writer.writerow(["query_id"] + self.gallery_ids)
             cell = io.StringIO()
             lead = csv.writer(cell)
-            for qid, row in zip(self.query_ids, self.scores.tolist()):
+            for qid, row in zip(self.query_ids, self.scores):
+                row = row.tolist()  # one row at a time: a list of floats is 8x the array
                 cell.seek(0)
                 cell.truncate()
                 lead.writerow([qid, ""] if row else [qid])  # "<id>,\r\n" or "<id>\r\n"

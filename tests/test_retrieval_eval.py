@@ -520,6 +520,19 @@ class TestScoreTable:
         assert back.query_ids == odd and back.gallery_ids == tab.gallery_ids
         np.testing.assert_array_equal(back.scores, tab.scores.astype(float))
 
+    def test_save_converts_one_row_at_a_time(self, tmp_path):
+        # 200 x 5 000 scores as one list of Python floats would take about
+        # 32 MB; save's peak beyond the table must stay near one row's list
+        tab = ScoreTable([f"q{i}" for i in range(200)], [f"g{j}" for j in range(5_000)],
+                         np.random.default_rng(4).random((200, 5_000), dtype=np.float32))
+        tracemalloc.start()
+        try:
+            tab.save(tmp_path / "scores.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
     def test_save_without_gallery_columns_matches_csv_writer_bytes(self, tmp_path):
         tab = ScoreTable(["", "q,1", "q2"], [], np.zeros((3, 0), dtype=np.float32))
         tab.save(tmp_path / "fast.csv")
@@ -788,6 +801,34 @@ class TestStreamingEvaluate:
             full = top_k(gallery, queries, len(gallery.ids))
             assert rows == metrics_from_rankings(full, rel, self.KS)
         assert several > 0 or query_block == 256
+
+    def test_equals_dense_product_on_random_float32(self, monkeypatch):
+        # The module docstring's equal-blocks rationale: blocks of two or more
+        # rows give the dense product's bits on real float32 data, so eval
+        # prints the same metrics as table_metrics of the dumped table.  With
+        # the default constants 3 000 queries x 1 000 gallery items split into
+        # three 1 000-row blocks.
+        blocks = []
+        matmul = np.matmul
+
+        def spy(a, b, out):
+            blocks.append(matmul(a, b, out=out).copy())
+            return out
+
+        monkeypatch.setattr(retrieval_eval.np, "matmul", spy)
+        rng = np.random.default_rng(24)
+        gallery = EmbeddingSet.from_rows([f"g{i:04d}" for i in range(1_000)],
+                                         rng.standard_normal((1_000, 384)))
+        queries = EmbeddingSet.from_rows([f"q{i:04d}" for i in range(3_000)],
+                                         rng.standard_normal((3_000, 384)))
+        rel = {q: set(rng.choice(gallery.ids, size=int(rng.integers(1, 4)),
+                                 replace=False).tolist())
+               for q in queries.ids}
+        rows = evaluate(queries, gallery, rel, self.KS)
+        assert [len(b) for b in blocks] == [1_000] * 3
+        dense = score_table(gallery, queries)
+        assert np.vstack(blocks).tobytes() == dense.scores.tobytes()
+        assert rows == table_metrics(dense, rel, self.KS)
 
     def test_table_metrics_equals_dense_path_on_float64_tables(self):
         rng = np.random.default_rng(22)
