@@ -5,17 +5,20 @@ gradients for the joint objective.
 Both views pass through the single parameter set (Siamese by construction).
 The orientation head consumes [satellite embedding ; drone embedding], i.e.
 exactly the vectors retrieval compares.
+
+The parameters, and their gradient, are one float64 vector each, in CKP1's
+order, plus a scalar temperature.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from . import binio
 from .dataset import TrainBatch
-from .errors import NormDegenerate
+from .errors import FormatError, NormDegenerate, NumericError
 from .objectives import (
     MODE_CLASSIFICATION,
     MODE_NONE,
@@ -29,19 +32,35 @@ from .objectives import (
 
 DEFAULT_TAU = 0.07
 NORM_FLOOR = 1e-12
+_FIELDS = ("W1", "b1", "W2", "b2", "head_W", "head_b")  # CKP1's array order
 
 
-@dataclass
 class ModelParams:
-    """Encoder and head parameters; field order is the checkpoint layout."""
+    """Encoder and head parameters.  flat holds W1 (h x (m+2)), b1 (h), W2
+    (e x h), b2 (e), head_W (head_rows x 2e) and head_b (head_rows) in that
+    order, and each field is a reshaped view into it: write into a field
+    (params.b1[...] = x), never rebind it.  A gradient is a ModelParams too."""
 
-    W1: np.ndarray       # h x (m+2)
-    b1: np.ndarray       # h
-    W2: np.ndarray       # e x h
-    b2: np.ndarray       # e
-    head_W: np.ndarray   # head_rows x 2e
-    head_b: np.ndarray   # head_rows
-    temperature: float
+    def __init__(self, W1, b1, W2, b2, head_W, head_b, temperature):
+        arrays = (W1, b1, W2, b2, head_W, head_b)
+        self._bind(np.concatenate([np.ravel(a) for a in arrays]).astype(np.float64, copy=False),
+                   [np.shape(a) for a in arrays], temperature)
+
+    def like(self, flat: np.ndarray, temperature) -> "ModelParams":
+        """The same layout over another vector of flat's size."""
+        other = object.__new__(ModelParams)
+        other._bind(flat, [getattr(self, name).shape for name in _FIELDS], temperature)
+        return other
+
+    def _bind(self, flat, shapes, temperature) -> None:
+        self.flat, self.temperature = flat, temperature
+        self.matrix_slices, start = [], 0  # flat ranges of W1, W2 and head_W
+        for name, shape in zip(_FIELDS, shapes):
+            stop = start + math.prod(shape)
+            setattr(self, name, flat[start:stop].reshape(shape))
+            if len(shape) == 2:
+                self.matrix_slices.append(slice(start, stop))
+            start = stop
 
     @property
     def input_dim(self) -> int:
@@ -54,22 +73,6 @@ class ModelParams:
     @property
     def head_rows(self) -> int:
         return self.head_W.shape[0]
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.W1.copy(), self.b1.copy(), self.W2.copy(),
-                           self.b2.copy(), self.head_W.copy(), self.head_b.copy(),
-                           float(self.temperature))
-
-
-@dataclass
-class Gradients:
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-    head_W: np.ndarray
-    head_b: np.ndarray
-    temperature: float
 
 
 def _xavier(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -145,10 +148,11 @@ def forward_backward(params: ModelParams, batch: TrainBatch, cfg: LossConfig,
                      work: dict | None = None):
     """Joint loss and its exact analytic gradients.
 
-    Returns (total, Gradients, parts) where parts = (contrastive,
-    orientation).  The temperature gradient is always the true derivative;
-    whether it is applied is the optimizer's decision.  work is passed to
-    infonce_with_grad, which keeps its n x n buffers there between steps.
+    Returns (total, grads, parts) where grads is a ModelParams over a new
+    vector and parts = (contrastive, orientation).  The temperature gradient
+    is always the true derivative; whether it is applied is the optimizer's
+    decision.  work is passed to infonce_with_grad, which keeps its n x n
+    buffers there between steps.
     """
     emb_sat, cache_sat = _forward(params, np.asarray(batch.sat_inputs, dtype=float))
     emb_drone, cache_drone = _forward(params, np.asarray(batch.drone_inputs, dtype=float))
@@ -156,10 +160,9 @@ def forward_backward(params: ModelParams, batch: TrainBatch, cfg: LossConfig,
     l_con, d_sat, d_drone, d_tau = infonce_with_grad(
         emb_sat, emb_drone, batch.mask, params.temperature, cfg.smoothing, work
     )
+    grads = params.like(np.zeros(params.flat.size), d_tau)
 
     l_orient = 0.0
-    d_head_w = np.zeros_like(params.head_W)
-    d_head_b = np.zeros_like(params.head_b)
     if cfg.orientation_mode != MODE_NONE:
         out = orientation_logits(params, emb_sat, emb_drone)
         if cfg.orientation_mode == MODE_CLASSIFICATION:
@@ -174,8 +177,8 @@ def forward_backward(params: ModelParams, batch: TrainBatch, cfg: LossConfig,
             raise AssertionError(cfg.orientation_mode)
         w = cfg.orientation_weight
         cat = np.concatenate([emb_sat, emb_drone], axis=1)
-        d_head_w = w * (d_out.T @ cat)
-        d_head_b = w * d_out.sum(axis=0)
+        grads.head_W[...] = w * (d_out.T @ cat)
+        grads.head_b[...] = w * d_out.sum(axis=0)
         d_cat = w * (d_out @ params.head_W)
         e = params.embed_dim
         d_sat = d_sat + d_cat[:, :e]
@@ -183,38 +186,32 @@ def forward_backward(params: ModelParams, batch: TrainBatch, cfg: LossConfig,
 
     total = joint(l_con, l_orient, cfg)
 
-    w1_s, b1_s, w2_s, b2_s = _backprop_branch(params, cache_sat, d_sat)
-    w1_d, b1_d, w2_d, b2_d = _backprop_branch(params, cache_drone, d_drone)
-    grads = Gradients(
-        W1=w1_s + w1_d,
-        b1=b1_s + b1_d,
-        W2=w2_s + w2_d,
-        b2=b2_s + b2_d,
-        head_W=d_head_w,
-        head_b=d_head_b,
-        temperature=d_tau,
-    )
+    sat = _backprop_branch(params, cache_sat, d_sat)
+    drone = _backprop_branch(params, cache_drone, d_drone)
+    for view, term_sat, term_drone in zip((grads.W1, grads.b1, grads.W2, grads.b2), sat, drone):
+        np.add(term_sat, term_drone, out=view)
     return total, grads, (l_con, l_orient)
 
 
 def _checkpoint_shapes(dims):
     m, h, e, head_rows = (int(d) for d in dims)
+    if min(m, h, e, head_rows) < 1:
+        raise FormatError(f"checkpoint dims (m, h, e, head_rows) = {tuple(dims)} "
+                          "must all be >= 1")
     return [(h, m + 2), (h,), (e, h), (e,), (head_rows, 2 * e), (head_rows,)]
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    m = params.input_dim - 2
-    h = params.b1.shape[0]
-    e = params.embed_dim
-    binio.write_checkpoint(
-        path,
-        (m, h, e, params.head_rows),
-        [params.W1, params.b1, params.W2, params.b2, params.head_W, params.head_b],
-        params.temperature,
-    )
+    """Write flat and the temperature as float32; NumericError, before path
+    is opened, if either is not finite as float32."""
+    with np.errstate(over="ignore"):
+        flat, tau = params.flat.astype("<f4"), np.float32(params.temperature)
+    if not (np.isfinite(flat).all() and np.isfinite(tau)):
+        raise NumericError(f"{path}: a parameter or the temperature is not finite as float32")
+    dims = (params.input_dim - 2, params.b1.size, params.embed_dim, params.head_rows)
+    binio.write_checkpoint(path, dims, [flat], params.temperature)
 
 
 def load_checkpoint(path) -> ModelParams:
     _, arrays, tau = binio.read_checkpoint(path, _checkpoint_shapes)
-    w1, b1, w2, b2, head_w, head_b = (a.astype(np.float64) for a in arrays)
-    return ModelParams(w1, b1, w2, b2, head_w, head_b, float(tau))
+    return ModelParams(*arrays, float(tau))

@@ -1,5 +1,6 @@
 """Optimization loop: AdamW with decoupled weight decay, cosine learning
 rate with linear warmup, deterministic epoch orchestration, CSV logging.
+AdamW updates ModelParams.flat, and its moments are vectors of that layout.
 
 RNG discipline: substreams of the config seed are keyed by purpose
 (1 = parameter init, 2 = batch sampling, 3 = rotation augmentation) so that
@@ -16,16 +17,11 @@ import numpy as np
 
 from .dataset import BatchSampler, CrossViewDataset, apply_aligned_rotation
 from .errors import NonFiniteLoss
-from .model import Gradients, ModelParams, forward_backward, init
+from .model import ModelParams, forward_backward, init
 from .objectives import MODE_REGRESSION, LossConfig
 from .pose_geometry import LabelConfig
 
 TRAIN_LOG_HEADER = ["step", "lr", "loss_total", "loss_contrastive", "loss_orientation"]
-
-# parameter fields updated by the optimizer, in declaration order; weight
-# decay touches only the matrices
-_PARAM_FIELDS = ("W1", "b1", "W2", "b2", "head_W", "head_b")
-_DECAYED_FIELDS = ("W1", "W2", "head_W")
 
 
 @dataclass(frozen=True)
@@ -64,16 +60,15 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    m: dict
-    v: dict
+    m: np.ndarray  # laid out as ModelParams.flat
+    v: np.ndarray
     m_tau: float = 0.0
     v_tau: float = 0.0
     step: int = 0
 
     @classmethod
     def fresh(cls, params: ModelParams) -> "OptimizerState":
-        zeros = {name: np.zeros_like(getattr(params, name)) for name in _PARAM_FIELDS}
-        return cls(m=zeros, v={k: a.copy() for k, a in zeros.items()})
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 @dataclass
@@ -97,26 +92,27 @@ def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
     return cfg.peak_lr * 0.5 * (1.0 + math.cos(math.pi * (step - warm) / span))
 
 
-def adamw_step(params: ModelParams, grads: Gradients, state: OptimizerState,
+def adamw_step(params: ModelParams, grads: ModelParams, state: OptimizerState,
                lr: float, cfg: TrainConfig) -> tuple[ModelParams, OptimizerState]:
-    """One decoupled-weight-decay Adam update, in place.
+    """One decoupled-weight-decay Adam update, in place, over params.flat.
 
-    Biases and the temperature are never decayed; the temperature moves only
-    when cfg.train_temperature is set.
+    Only the three weight matrices are decayed: biases and the temperature
+    never are.  The temperature moves only when cfg.train_temperature is set.
     """
     state.step += 1
     t = state.step
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
-    for name in _PARAM_FIELDS:
-        g = getattr(grads, name)
-        state.m[name] = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g
-        state.v[name] = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * (g * g)
-        update = (state.m[name] / bc1) / (np.sqrt(state.v[name] / bc2) + cfg.adam_eps)
-        theta = getattr(params, name)
-        if name in _DECAYED_FIELDS:
-            update = update + cfg.weight_decay * theta
-        theta -= lr * update
+    g = grads.flat
+    state.m *= cfg.beta1
+    state.m += (1.0 - cfg.beta1) * g
+    state.v *= cfg.beta2
+    state.v += (1.0 - cfg.beta2) * (g * g)
+    update = state.m / bc1
+    update /= np.sqrt(state.v / bc2) + cfg.adam_eps
+    for rows in params.matrix_slices:
+        update[rows] += cfg.weight_decay * params.flat[rows]
+    params.flat -= lr * update
     if cfg.train_temperature:
         g = grads.temperature
         state.m_tau = cfg.beta1 * state.m_tau + (1.0 - cfg.beta1) * g
@@ -148,15 +144,17 @@ def train(cfg: TrainConfig, dataset: CrossViewDataset) -> tuple[ModelParams, lis
     state = OptimizerState.fresh(params)
     log: list[TrainLogRow] = []
     work: dict = {}
-    for step in range(total_steps):
-        batch = sampler.sample_batch()
-        batch = apply_aligned_rotation(batch, aug_rng, cfg.rotation_prob, label_cfg)
-        lr = lr_at(step, total_steps, cfg)
-        total, grads, (l_con, l_orient) = forward_backward(params, batch, cfg.loss, work)
-        if not math.isfinite(total):
-            raise NonFiniteLoss(f"loss {total} at step {step}")
-        params, state = adamw_step(params, grads, state, lr, cfg)
-        log.append(TrainLogRow(step, lr, total, l_con, l_orient))
+    # a diverging run overflows in numpy first; the loss checks report it once
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(total_steps):
+            batch = sampler.sample_batch()
+            batch = apply_aligned_rotation(batch, aug_rng, cfg.rotation_prob, label_cfg)
+            lr = lr_at(step, total_steps, cfg)
+            total, grads, (l_con, l_orient) = forward_backward(params, batch, cfg.loss, work)
+            if not math.isfinite(total):
+                raise NonFiniteLoss(f"loss {total} at step {step}")
+            params, state = adamw_step(params, grads, state, lr, cfg)
+            log.append(TrainLogRow(step, lr, total, l_con, l_orient))
     return params, log
 
 

@@ -81,9 +81,9 @@ def check_config(rng: np.random.Generator, mode: str) -> tuple[int, list]:
         params = init(rng, m, h, e, head_rows)
         # random small biases: with zero b2 a batch row whose relus are all
         # inactive would hit the (legitimate) degenerate-norm guard
-        params.b1 = rng.uniform(-0.3, 0.3, size=h)
-        params.b2 = rng.uniform(-0.3, 0.3, size=e)
-        params.head_b = rng.uniform(-0.3, 0.3, size=head_rows)
+        params.b1[...] = rng.uniform(-0.3, 0.3, size=h)
+        params.b2[...] = rng.uniform(-0.3, 0.3, size=e)
+        params.head_b[...] = rng.uniform(-0.3, 0.3, size=head_rows)
         params.temperature = float(rng.uniform(0.05, 1.0))
         cfg = LossConfig(smoothing=float(rng.choice([0.0, 0.1])),
                          temperature=params.temperature,

@@ -6,9 +6,10 @@ package.  Tests compare the two routes; neither is derived from the other.
 The loop-form references are exact-equality references for the training
 batch path, for InfoNCE's gradient and for top_k's block selection; the
 object-form references after them are those for the generator's view table
-and the dataset builder; and the dense-table metric path and the csv.writer
-score-table save at the end are those for the streaming evaluate and the
-joined-row ScoreTable.save.
+and the dataset builder; the dense-table metric path and the csv.writer
+score-table save are those for the streaming evaluate and the joined-row
+ScoreTable.save; and the per-field gradient assembly and AdamW at the end
+are those for the flat parameter vector.
 """
 
 from __future__ import annotations
@@ -31,7 +32,19 @@ from skyalign.dataset import (
     TrainBatch,
 )
 from skyalign.errors import DataError, UnknownQuery
-from skyalign.objectives import _log_softmax, _smoothed_ce_rows
+from skyalign.model import _forward, orientation_logits
+from skyalign.objectives import (
+    MODE_CLASSIFICATION,
+    MODE_NONE,
+    MODE_REGRESSION,
+    LossConfig,
+    _log_softmax,
+    _smoothed_ce_rows,
+    infonce_with_grad,
+    joint,
+    orientation_ce_with_grad,
+    orientation_mse_with_grad,
+)
 from skyalign.pose_geometry import (
     KIND_DRONE,
     KIND_SAT,
@@ -554,3 +567,140 @@ def csv_writer_save(table, path) -> None:
         writer.writerow(["query_id"] + table.gallery_ids)
         for i, qid in enumerate(table.query_ids):
             writer.writerow([qid] + [repr(float(v)) for v in table.scores[i]])
+
+
+# --- parameters, gradients and AdamW as six separate arrays, as they were
+# before ModelParams became one flat vector.  The bodies of
+# field_forward_backward, field_backprop_branch and field_adamw_step are the
+# earlier package code.
+
+FIELDS = ("W1", "b1", "W2", "b2", "head_W", "head_b")
+DECAYED_FIELDS = ("W1", "W2", "head_W")
+
+
+@dataclass
+class FieldParams:
+    """Parameters, or their gradient, in six arrays and a float."""
+
+    W1: np.ndarray
+    b1: np.ndarray
+    W2: np.ndarray
+    b2: np.ndarray
+    head_W: np.ndarray
+    head_b: np.ndarray
+    temperature: float
+
+    @property
+    def embed_dim(self) -> int:
+        return self.W2.shape[0]
+
+    @classmethod
+    def copy_of(cls, params) -> "FieldParams":
+        return cls(*(getattr(params, name).copy() for name in FIELDS), params.temperature)
+
+    def concatenated(self) -> np.ndarray:
+        return np.concatenate([getattr(self, name).ravel() for name in FIELDS])
+
+
+@dataclass
+class FieldOptimizerState:
+    m: dict
+    v: dict
+    m_tau: float = 0.0
+    v_tau: float = 0.0
+    step: int = 0
+
+    @classmethod
+    def fresh(cls, params) -> "FieldOptimizerState":
+        zeros = {name: np.zeros_like(getattr(params, name)) for name in FIELDS}
+        return cls(m=zeros, v={k: a.copy() for k, a in zeros.items()})
+
+
+def field_backprop_branch(params, cache, d_emb: np.ndarray):
+    """Gradient of the encoder branch, through the L2 normalization."""
+    x, z1, a, norms, emb = cache
+    # d/dz2 of z2/|z2|: remove the component of d_emb along emb, scale by 1/|z2|
+    dz2 = (d_emb - (d_emb * emb).sum(axis=1, keepdims=True) * emb) / norms
+    d_w2 = dz2.T @ a
+    d_b2 = dz2.sum(axis=0)
+    da = dz2 @ params.W2
+    dz1 = da * (z1 > 0)
+    d_w1 = dz1.T @ x
+    d_b1 = dz1.sum(axis=0)
+    return d_w1, d_b1, d_w2, d_b2
+
+
+def field_forward_backward(params, batch: TrainBatch, cfg: LossConfig,
+                           work: dict | None = None):
+    """forward_backward with each gradient field assembled on its own."""
+    emb_sat, cache_sat = _forward(params, np.asarray(batch.sat_inputs, dtype=float))
+    emb_drone, cache_drone = _forward(params, np.asarray(batch.drone_inputs, dtype=float))
+
+    l_con, d_sat, d_drone, d_tau = infonce_with_grad(
+        emb_sat, emb_drone, batch.mask, params.temperature, cfg.smoothing, work
+    )
+
+    l_orient = 0.0
+    d_head_w = np.zeros_like(params.head_W)
+    d_head_b = np.zeros_like(params.head_b)
+    if cfg.orientation_mode != MODE_NONE:
+        out = orientation_logits(params, emb_sat, emb_drone)
+        if cfg.orientation_mode == MODE_CLASSIFICATION:
+            l_orient, d_out = orientation_ce_with_grad(
+                out, batch.orientation_bins, batch.mask, cfg.smoothing
+            )
+        elif cfg.orientation_mode == MODE_REGRESSION:
+            l_orient, d_out = orientation_mse_with_grad(
+                out, batch.relative_angle_deg, batch.mask
+            )
+        else:
+            raise AssertionError(cfg.orientation_mode)
+        w = cfg.orientation_weight
+        cat = np.concatenate([emb_sat, emb_drone], axis=1)
+        d_head_w = w * (d_out.T @ cat)
+        d_head_b = w * d_out.sum(axis=0)
+        d_cat = w * (d_out @ params.head_W)
+        e = params.embed_dim
+        d_sat = d_sat + d_cat[:, :e]
+        d_drone = d_drone + d_cat[:, e:]
+
+    total = joint(l_con, l_orient, cfg)
+
+    w1_s, b1_s, w2_s, b2_s = field_backprop_branch(params, cache_sat, d_sat)
+    w1_d, b1_d, w2_d, b2_d = field_backprop_branch(params, cache_drone, d_drone)
+    grads = FieldParams(
+        W1=w1_s + w1_d,
+        b1=b1_s + b1_d,
+        W2=w2_s + w2_d,
+        b2=b2_s + b2_d,
+        head_W=d_head_w,
+        head_b=d_head_b,
+        temperature=d_tau,
+    )
+    return total, grads, (l_con, l_orient)
+
+
+def field_adamw_step(params: FieldParams, grads: FieldParams, state: FieldOptimizerState,
+                     lr: float, cfg) -> tuple[FieldParams, FieldOptimizerState]:
+    """adamw_step one field at a time, each moment a new array per step."""
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - cfg.beta1 ** t
+    bc2 = 1.0 - cfg.beta2 ** t
+    for name in FIELDS:
+        g = getattr(grads, name)
+        state.m[name] = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g
+        state.v[name] = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * (g * g)
+        update = (state.m[name] / bc1) / (np.sqrt(state.v[name] / bc2) + cfg.adam_eps)
+        theta = getattr(params, name)
+        if name in DECAYED_FIELDS:
+            update = update + cfg.weight_decay * theta
+        theta -= lr * update
+    if cfg.train_temperature:
+        g = grads.temperature
+        state.m_tau = cfg.beta1 * state.m_tau + (1.0 - cfg.beta1) * g
+        state.v_tau = cfg.beta2 * state.v_tau + (1.0 - cfg.beta2) * g * g
+        params.temperature -= lr * (state.m_tau / bc1) / (
+            math.sqrt(state.v_tau / bc2) + cfg.adam_eps
+        )
+    return params, state

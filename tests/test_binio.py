@@ -7,6 +7,7 @@ import pytest
 
 from skyalign import binio
 from skyalign.errors import FormatError
+from skyalign.model import _checkpoint_shapes
 
 
 class TestFeatures:
@@ -203,3 +204,14 @@ class TestCheckpoint:
         what = f"array {which}" if which < len(arrays) else "temperature"
         with pytest.raises(FormatError, match=f"c.bin: {what}.* is not finite"):
             binio.read_checkpoint(path, self._shapes)
+
+    @pytest.mark.parametrize("which", range(4), ids=["m", "h", "e", "head_rows"])
+    def test_zero_dim_rejected(self, tmp_path, which):
+        # the body is complete for the dims, so only the dim rule rejects it
+        dims = [3, 4, 5, 8]
+        dims[which] = 0
+        path = tmp_path / "c.bin"
+        binio.write_checkpoint(path, dims,
+                               [np.ones(s, dtype=np.float32) for s in self._shapes(dims)], 0.07)
+        with pytest.raises(FormatError, match=r"dims .* must all be >= 1"):
+            binio.read_checkpoint(path, _checkpoint_shapes)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import gradcheck
-from skyalign.errors import NormDegenerate
+from oracles import FIELDS
+from skyalign import binio
+from skyalign.errors import NormDegenerate, NumericError
 from skyalign.model import (
     ModelParams,
     encode,
@@ -200,3 +202,34 @@ class TestCheckpoint:
         save_checkpoint(params, a)
         save_checkpoint(load_checkpoint(a), b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_bytes_equal_six_array_write(self, tmp_path):
+        params = make_params(seed=11, m=3, h=5, e=4, head_rows=2)
+        params.temperature = 0.0911
+        a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(params, a)
+        binio.write_checkpoint(b, (3, 5, 4, 2), [getattr(params, n) for n in FIELDS], 0.0911)
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("which", [*FIELDS, "temperature"])
+    @pytest.mark.parametrize("value", [1e39, -1e39, np.nan])
+    def test_beyond_float32_not_saved(self, tmp_path, which, value):
+        params = make_params(seed=12)
+        if which == "temperature":
+            params.temperature = value
+        else:
+            getattr(params, which).flat[-1] = value
+        path = tmp_path / "c.ckpt"
+        with pytest.raises(NumericError, match="not finite as float32"):
+            save_checkpoint(params, path)
+        assert not path.exists()
+
+    def test_float32_max_saved(self, tmp_path):
+        params = make_params(seed=13)
+        top = float(np.finfo(np.float32).max)
+        params.W2[0, 0] = -top
+        params.temperature = top
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(params, path)
+        back = load_checkpoint(path)
+        assert back.W2[0, 0] == -top and back.temperature == top

@@ -7,9 +7,17 @@ import math
 import numpy as np
 import pytest
 
+import gradcheck
+from oracles import (
+    FIELDS,
+    FieldOptimizerState,
+    FieldParams,
+    field_adamw_step,
+    field_forward_backward,
+)
 from skyalign.dataset import CrossViewDataset, GenConfig, generate
 from skyalign.errors import NonFiniteLoss
-from skyalign.model import Gradients, ModelParams, init
+from skyalign.model import ModelParams, forward_backward, init, load_checkpoint, save_checkpoint
 from skyalign.objectives import LossConfig
 from skyalign.trainer import (
     OptimizerState,
@@ -42,7 +50,7 @@ def tiny_params(value=1.0, head_rows=4):
 
 
 def tiny_grads(value=0.0, head_rows=4, tau_grad=0.0):
-    return Gradients(
+    return ModelParams(
         W1=np.full((1, 3), value),
         b1=np.full(1, value),
         W2=np.full((1, 1), value),
@@ -174,6 +182,74 @@ class TestAdamWStep:
         adamw_step(params, tiny_grads(1.0), state, 0.1, cfg)
         expected = 1.0 - 2 * (0.1 / (1.0 + 1e-8))
         assert params.W1[0, 0] == pytest.approx(expected, abs=1e-12)
+
+
+class TestFlatParameterVector:
+    """The flat-vector forward_backward and adamw_step against the per-field
+    references in oracles, bit for bit, and the fields staying views of flat."""
+
+    @pytest.mark.parametrize("mode", ["classification", "regression", "none"])
+    @pytest.mark.parametrize("train_temperature", [False, True], ids=["tau-fixed", "tau-trained"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_fifty_steps_bit_identical_to_per_field(self, mode, train_temperature,
+                                                    weight_decay):
+        rng = np.random.default_rng(41)
+        m, h, e, bins = 6, 10, 8, 8
+        loss = LossConfig(smoothing=0.1, orientation_mode=mode, bins=bins)
+        cfg = TrainConfig(weight_decay=weight_decay, train_temperature=train_temperature,
+                          loss=loss)
+        params = init(rng, m, h, e, 2 if mode == "regression" else bins)
+        ref = FieldParams.copy_of(params)
+        state, ref_state = OptimizerState.fresh(params), FieldOptimizerState.fresh(ref)
+        masked = 0
+        for _ in range(50):
+            batch = gradcheck.make_batch(rng, 12, m, bins, mask_frac=0.3)
+            masked += int(batch.mask.sum())
+            lr = float(rng.uniform(0.0, 0.05))
+            total, grads, parts = forward_backward(params, batch, loss)
+            ref_total, ref_grads, ref_parts = field_forward_backward(ref, batch, loss)
+            assert (total, parts) == (ref_total, ref_parts)
+            assert grads.flat.tobytes() == ref_grads.concatenated().tobytes()
+            assert grads.temperature == ref_grads.temperature
+            adamw_step(params, grads, state, lr, cfg)
+            field_adamw_step(ref, ref_grads, ref_state, lr, cfg)
+            assert params.flat.tobytes() == ref.concatenated().tobytes()
+            assert params.temperature == ref.temperature
+        assert masked > 0
+        assert (params.temperature != 0.07) == train_temperature
+        for moment, ref_moment in ((state.m, ref_state.m), (state.v, ref_state.v)):
+            assert moment.tobytes() == np.concatenate([ref_moment[n].ravel()
+                                                       for n in FIELDS]).tobytes()
+
+    @staticmethod
+    def assert_views_of_flat(params):
+        sizes = 0
+        for name in FIELDS:
+            view = getattr(params, name)
+            assert np.shares_memory(view, params.flat), name
+            sizes += view.size
+        assert sizes == params.flat.size
+        assert np.array_equal(np.concatenate([getattr(params, n).ravel() for n in FIELDS]),
+                              params.flat)
+
+    def test_fields_stay_views_of_flat(self, tmp_path):
+        params = init(np.random.default_rng(3), 4, 5, 3, 8)
+        self.assert_views_of_flat(params)
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(params, path)
+        loaded = load_checkpoint(path)
+        self.assert_views_of_flat(loaded)
+        grads = loaded.like(np.ones(loaded.flat.size), 0.0)
+        self.assert_views_of_flat(grads)
+        before = loaded.W1.copy()
+        adamw_step(loaded, grads, OptimizerState.fresh(loaded), 0.1, TrainConfig())
+        self.assert_views_of_flat(loaded)
+        assert not np.array_equal(loaded.W1, before)  # the step moved W1 through flat
+
+    def test_trained_fields_are_views_of_flat(self):
+        params, _ = train(TrainConfig(peak_lr=1e-2, epochs=1, batch_size=4, seed=2),
+                          small_dataset())
+        self.assert_views_of_flat(params)
 
 
 class TestTrainLoop:
