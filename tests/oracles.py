@@ -8,14 +8,17 @@ batch path, for InfoNCE's gradient and for top_k's block selection; the
 object-form references after them are those for the generator's view table
 and the dataset builder; the dense-table metric path and the csv.writer
 score-table save are those for the streaming evaluate and the joined-row
-ScoreTable.save; and the per-field gradient assembly and AdamW at the end
-are those for the flat parameter vector.
+ScoreTable.save; the per-field gradient assembly and AdamW are those for
+the flat parameter vector; and the record-by-record FEA1/EMB1 readers and
+writers and the per-pair rank count at the end are those for binio's
+table-at-a-time I/O and retrieval_eval's sorted-row ranks.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import struct
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -31,7 +34,17 @@ from skyalign.dataset import (
     GenConfig,
     TrainBatch,
 )
-from skyalign.errors import DataError, UnknownQuery
+from skyalign.binio import (
+    EMB_MAGIC,
+    FEA_MAGIC,
+    KIND_DRONE_CODE,
+    KIND_SAT_CODE,
+    Views,
+    _check_magic,
+    _check_room,
+    _read_exact,
+)
+from skyalign.errors import DataError, FormatError, UnknownQuery
 from skyalign.model import _forward, orientation_logits
 from skyalign.objectives import (
     MODE_CLASSIFICATION,
@@ -704,3 +717,137 @@ def field_adamw_step(params: FieldParams, grads: FieldParams, state: FieldOptimi
             math.sqrt(state.v_tau / bc2) + cfg.adam_eps
         )
     return params, state
+
+
+# --- FEA1/EMB1 read and written one record at a time, and each relevant
+# pair's rank counted over its own gathered row, as they were before binio
+# read and wrote whole tables and _count_ranks sorted multi-relevant rows.
+# The bodies are the earlier package code.
+
+_BLOCK_VALUES = 1 << 20
+
+
+def _read_id(fh, path) -> str:
+    (length,) = struct.unpack("<H", _read_exact(fh, 2, path, "id length"))
+    try:
+        return _read_exact(fh, length, path, "id bytes").decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: id is not valid UTF-8") from None
+
+
+def _write_id(fh, ident: str) -> None:
+    raw = ident.encode("utf-8")
+    if len(raw) > 0xFFFF:
+        raise FormatError(f"id too long to encode ({len(raw)} bytes)")
+    fh.write(struct.pack("<H", len(raw)))
+    fh.write(raw)
+
+
+def record_write_features(path, ids, kinds, vectors, azimuths, masked) -> None:
+    """Write a FEA1 file from the columns of a Views table."""
+    vec = np.ascontiguousarray(vectors, dtype="<f4")
+    n, dim = vec.shape
+    if not (len(ids) == len(kinds) == len(azimuths) == len(masked) == n):
+        raise ValueError("feature field lengths disagree")
+    with open(path, "wb") as fh:
+        fh.write(FEA_MAGIC)
+        fh.write(struct.pack("<II", n, dim))
+        for i in range(n):
+            _write_id(fh, ids[i])
+            fh.write(struct.pack("<B", int(kinds[i])))
+            fh.write(vec[i].tobytes())
+            fh.write(struct.pack("<f", float(azimuths[i])))
+            fh.write(struct.pack("<B", 1 if masked[i] else 0))
+
+
+def record_read_features(path):
+    """Read a FEA1 file -> Views(ids, kinds u8, vectors f32, azimuths f32, masked bool)."""
+    with open(path, "rb") as fh:
+        _check_magic(fh, FEA_MAGIC, path)
+        n, dim = struct.unpack("<II", _read_exact(fh, 8, path, "header"))
+        # a record is at least an id length, a kind, the vector, an azimuth and a flag
+        _check_room(fh, n * (8 + 4 * dim), path, f"{n} records of dim {dim}")
+        ids = []
+        kinds = np.empty(n, dtype=np.uint8)
+        vectors = np.empty((n, dim), dtype=np.float32)
+        azimuths = np.empty(n, dtype=np.float32)
+        masked = np.empty(n, dtype=bool)
+        row_bytes = 4 * dim
+        for i in range(n):
+            ids.append(_read_id(fh, path))
+            (kind,) = struct.unpack("<B", _read_exact(fh, 1, path, "kind"))
+            if kind not in (KIND_SAT_CODE, KIND_DRONE_CODE):
+                raise FormatError(f"{path}: record {i}: bad kind code {kind}")
+            kinds[i] = kind
+            vectors[i] = np.frombuffer(
+                _read_exact(fh, row_bytes, path, f"record {i} vector"), dtype="<f4"
+            )
+            (azimuths[i],) = struct.unpack("<f", _read_exact(fh, 4, path, "azimuth"))
+            (mk,) = struct.unpack("<B", _read_exact(fh, 1, path, "masked flag"))
+            masked[i] = bool(mk)
+        if fh.read(1):
+            raise FormatError(f"{path}: trailing bytes after {n} records")
+    for what, finite in (("vector", np.isfinite(vectors).all(axis=1)),
+                         ("azimuth", np.isfinite(azimuths))):
+        if not finite.all():
+            raise FormatError(f"{path}: record {int(np.argmin(finite))}: {what} is not finite")
+    return Views(ids, kinds, vectors, azimuths, masked)
+
+
+def record_write_embeddings(path, ids, matrix) -> None:
+    mat = np.ascontiguousarray(matrix, dtype="<f4")
+    n, dim = mat.shape
+    if len(ids) != n:
+        raise ValueError("id count does not match row count")
+    with open(path, "wb") as fh:
+        fh.write(EMB_MAGIC)
+        fh.write(struct.pack("<II", n, dim))
+        fh.write(mat.tobytes())
+        for ident in ids:
+            _write_id(fh, ident)
+
+
+def record_read_embeddings(path):
+    """Read an EMB1 file -> (ids, float32 matrix)."""
+    with open(path, "rb") as fh:
+        _check_magic(fh, EMB_MAGIC, path)
+        n, dim = struct.unpack("<II", _read_exact(fh, 8, path, "header"))
+        _check_room(fh, n * (4 * dim + 2), path, f"{n} rows of dim {dim} and their ids")
+        raw = _read_exact(fh, 4 * n * dim, path, "matrix")
+        matrix = np.frombuffer(raw, dtype="<f4").reshape(n, dim).copy()
+        ids = [_read_id(fh, path) for _ in range(n)]
+        if fh.read(1):
+            raise FormatError(f"{path}: trailing bytes after id block")
+    return ids, matrix
+
+
+def read_outcome(reader, path):
+    """The reader's result, or its FormatError's message."""
+    try:
+        return reader(path)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+def same_read(a, b) -> bool:
+    """Two read_outcome values are the same message, or the same fields:
+    equal lists, and arrays of one dtype, shape and bytes."""
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return all(type(x) is type(y) and (x == y if isinstance(x, list) else
+                                       (x.dtype, x.shape, x.tobytes())
+                                       == (y.dtype, y.shape, y.tobytes()))
+               for x, y in zip(a, b))
+
+
+def compare_count_ranks(scores: np.ndarray, qrow: np.ndarray, rcol: np.ndarray,
+                        out: np.ndarray) -> None:
+    """out[i] = the rank of column rcol[i] in score row qrow[i]: 1 + the
+    scores above it + the equal ones in earlier columns.  The rows are
+    gathered _BLOCK_VALUES scores at a time."""
+    step = max(1, _BLOCK_VALUES // max(1, scores.shape[1]))
+    pos = np.arange(scores.shape[1])
+    for s in range(0, len(qrow), step):
+        block, c = scores[qrow[s:s + step]], rcol[s:s + step, None]
+        v = np.take_along_axis(block, c, axis=1)
+        out[s:s + step] = 1 + ((block > v) | (block == v) & (pos < c)).sum(axis=1)

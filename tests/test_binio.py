@@ -1,6 +1,7 @@
 """Round-trips and corruption handling for the three binary formats."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,15 @@ import pytest
 from skyalign import binio
 from skyalign.errors import FormatError
 from skyalign.model import _checkpoint_shapes
+
+from oracles import (
+    read_outcome,
+    record_read_embeddings,
+    record_read_features,
+    record_write_embeddings,
+    record_write_features,
+    same_read,
+)
 
 
 class TestFeatures:
@@ -159,6 +169,95 @@ class TestEmbeddings:
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(FormatError, match="truncated"):
             binio.read_embeddings(path)
+
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_zero_dim_rejected(self, tmp_path, n):
+        path = tmp_path / "e.bin"
+        binio.write_embeddings(path, [f"r{i}" for i in range(n)], np.zeros((n, 0)))
+        with pytest.raises(FormatError, match="e.bin: embedding dim 0 must be >= 1"):
+            binio.read_embeddings(path)
+
+
+def feature_columns(rng, n, dim):
+    ids = (["", "vue_élévation", "x" * 300] + [f"b{i}_d{i % 7:02d}" for i in range(n)])[:n]
+    vectors = rng.standard_normal((n, dim)).astype(np.float32)
+    vectors[:, :1] = -0.0
+    return (ids, rng.integers(0, 2, n).tolist(), vectors,
+            (rng.random(n) * 360).tolist(), (rng.random(n) < 0.3).tolist())
+
+
+class TestTableAtATime:
+    """FEA1 and EMB1 read and written a table at a time: the same bytes,
+    fields and error messages as the record-by-record references."""
+
+    @pytest.mark.parametrize("n,dim", [(0, 0), (0, 3), (1, 0), (1, 1), (7, 5), (40, 2)])
+    def test_same_bytes_and_fields_as_record_by_record(self, tmp_path, n, dim):
+        rng = np.random.default_rng(n * 10 + dim)
+        cols = feature_columns(rng, n, dim)
+        binio.write_features(tmp_path / "f.bin", *cols)
+        record_write_features(tmp_path / "ref.bin", *cols)
+        assert (tmp_path / "f.bin").read_bytes() == (tmp_path / "ref.bin").read_bytes()
+        assert same_read(binio.read_features(tmp_path / "f.bin"),
+                         record_read_features(tmp_path / "f.bin"))
+        if dim:
+            binio.write_embeddings(tmp_path / "e.bin", cols[0], cols[2])
+            record_write_embeddings(tmp_path / "eref.bin", cols[0], cols[2])
+            assert (tmp_path / "e.bin").read_bytes() == (tmp_path / "eref.bin").read_bytes()
+            assert same_read(binio.read_embeddings(tmp_path / "e.bin"),
+                             record_read_embeddings(tmp_path / "e.bin"))
+
+    @pytest.mark.parametrize("fmt", ["features", "embeddings"])
+    def test_every_cut_and_byte_fails_as_record_by_record(self, tmp_path, fmt):
+        # every prefix, every byte set to each of a few values, and one more
+        # byte; the last id is long enough that the header's size check lets
+        # every cut inside the last record through
+        cols = feature_columns(np.random.default_rng(5), 3, 2)
+        cols = (["", "é", "a-longer-last-id"],) + cols[1:]
+        path = tmp_path / "f.bin"
+        if fmt == "features":
+            binio.write_features(path, *cols)
+            read, ref = binio.read_features, record_read_features
+        else:
+            binio.write_embeddings(path, cols[0], cols[2])
+            read, ref = binio.read_embeddings, record_read_embeddings
+        good = path.read_bytes()
+        variants = [good[:cut] for cut in range(len(good))] + [good + b"\x00"]
+        variants += [good[:i] + bytes([b]) + good[i + 1:]
+                     for i in range(len(good)) for b in (0, 1, 2, 0x80, 0xFF)]
+        for data in variants:
+            path.write_bytes(data)
+            got, want = read_outcome(read, path), read_outcome(ref, path)
+            if fmt == "embeddings" and data[8:12] == bytes(4) and data[:4] == binio.EMB_MAGIC:
+                want = f"FormatError: {path}: embedding dim 0 must be >= 1"
+            assert same_read(got, want), (data, got, want)
+
+    def test_bad_kind_reported_before_a_later_truncation(self, tmp_path):
+        path = tmp_path / "f.bin"
+        binio.write_features(path, ["aaaa", "bbbb"], [0, 1],
+                             np.zeros((2, 1), dtype=np.float32), [0.0, 0.0], [False, False])
+        raw = bytearray(path.read_bytes())
+        raw[18] = 9  # magic(4) + header(8) + idlen(2) + id(4) -> the first kind byte
+        path.write_bytes(bytes(raw[:-3]))
+        with pytest.raises(FormatError, match="record 0: bad kind code 9"):
+            binio.read_features(path)
+
+    def test_read_temporaries_stay_near_the_returned_arrays(self, tmp_path):
+        # beyond what it returns, the reader holds about the file and a byte
+        # mask over it; an n x record-width int64 index would be 8x the records
+        rng = np.random.default_rng(6)
+        n, dim = 4_000, 64
+        ids = [f"b{i // 11:04d}_d{i % 11:02d}" for i in range(n)]
+        binio.write_features(tmp_path / "f.bin", ids, rng.integers(0, 2, n),
+                             rng.standard_normal((n, dim)), rng.random(n), rng.random(n) < 0.1)
+        tracemalloc.start()
+        try:
+            views = binio.read_features(tmp_path / "f.bin")
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = sum(a.nbytes for a in views[1:])
+        assert peak - kept < 3 * arrays
 
 
 class TestCheckpoint:

@@ -608,6 +608,20 @@ class TestEval:
         assert capsys.readouterr().err == f"data error: {empty}: no query embeddings\n"
         assert not out.exists() and not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("role", ["--queries", "--gallery"])
+    def test_zero_width_embeddings_exit_3(self, pipeline, tmp_path, capsys, role):
+        ids = EmbeddingSet.load(pipeline["emb"]["drone" if role == "--queries" else "sat"]).ids
+        flat = tmp_path / "flat.bin"
+        binio.write_embeddings(flat, ids, np.zeros((len(ids), 0), dtype=np.float32))
+        args = {"--gallery": pipeline["emb"]["sat"], "--queries": pipeline["emb"]["drone"],
+                role: str(flat)}
+        out = tmp_path / "m.csv"
+        assert main(["eval", *(x for kv in args.items() for x in kv), "--relevance",
+                     os.path.join(pipeline["data"], "relevance_drone2sat.csv"),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"data error: {flat}: embedding dim 0 must be >= 1\n"
+        assert not out.exists()
+
     def test_bad_k_list_exits_2(self, pipeline, tmp_path):
         code = main(["eval", "--gallery", pipeline["emb"]["sat"],
                      "--queries", pipeline["emb"]["drone"],

@@ -46,6 +46,7 @@ from skyalign.retrieval_eval import (
 )
 
 from oracles import (
+    compare_count_ranks,
     csv_writer_save,
     dense_evaluate,
     dense_table_metrics,
@@ -115,6 +116,16 @@ class TestEmbeddingSet:
         m[2999, 7] = np.inf  # non-finite is reported before a zero norm
         with pytest.raises(NormDegenerate, match="row 2999 is not finite"):
             _renormalize(m)
+
+    def test_renormalize_strided_views_equal_contiguous_copies(self):
+        # truncate_dim hands _renormalize a column slice without copying it
+        rng = np.random.default_rng(14)
+        for _ in range(300):
+            n, dim = int(rng.integers(1, 400)), int(rng.integers(1, 1_500))
+            m = rng.standard_normal((n, dim)).astype(np.float32) + 0.5
+            view = m[::int(rng.integers(1, 4)), :int(rng.integers(1, dim + 1)):int(rng.integers(1, 3))]
+            assert _renormalize(view).tobytes() == \
+                _renormalize(np.ascontiguousarray(view)).tobytes()
 
 
 class TestTopKExactness:
@@ -533,6 +544,21 @@ class TestScoreTable:
             tracemalloc.stop()
         assert peak < 2e6
 
+    def test_load_parses_one_row_at_a_time(self, tmp_path):
+        # 200 x 5 000 scores as lists of Python floats would take about 32 MB
+        # beside the 8 MB table; load may hold the parsed rows and their stack
+        tab = ScoreTable([f"q{i}" for i in range(200)], [f"g{j}" for j in range(5_000)],
+                         np.random.default_rng(4).random((200, 5_000)))
+        tab.save(tmp_path / "scores.csv")
+        tracemalloc.start()
+        try:
+            back = ScoreTable.load(tmp_path / "scores.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.scores.tobytes() == tab.scores.tobytes()
+        assert peak < 2.5 * tab.scores.nbytes
+
     def test_save_without_gallery_columns_matches_csv_writer_bytes(self, tmp_path):
         tab = ScoreTable(["", "q,1", "q2"], [], np.zeros((3, 0), dtype=np.float32))
         tab.save(tmp_path / "fast.csv")
@@ -877,3 +903,72 @@ class TestStreamingEvaluate:
         for gallery in (es, none):
             with pytest.raises(DataError, match="no queries"):
                 evaluate(none, gallery, {"a": {"a"}}, [1])
+
+
+class TestSortedRowRanks:
+    """_count_ranks sorts each score row once when its pairs average
+    _SORT_FROM or more a row, and compares gathered rows otherwise.  Both
+    must give the per-pair compare path's ranks (oracles.compare_count_ranks)
+    exactly, on tie-heavy rows with -0.0 beside 0.0, and with NaN and inf."""
+
+    @staticmethod
+    def scores(rng, n_rows, g, dtype, odd=False):
+        scores = (rng.integers(-3, 4, (n_rows, g)) / 4).astype(dtype)
+        scores[(scores == 0) & (rng.random(scores.shape) < 0.5)] = -0.0
+        if odd:
+            scores.flat[rng.choice(scores.size, 3 * n_rows)] = rng.choice(
+                [np.nan, np.inf, -np.inf], 3 * n_rows)
+        return scores
+
+    @staticmethod
+    def pairs(rng, rows, g, counts):
+        qrow = np.repeat(rows, counts)
+        rcol = np.concatenate([rng.permutation(g)[:c] for c in counts])
+        return qrow, rcol
+
+    def check(self, scores, qrow, rcol):
+        got = np.zeros(len(qrow), dtype=np.int64)
+        want = np.zeros(len(qrow), dtype=np.int64)
+        retrieval_eval._count_ranks(scores, qrow, rcol, got)
+        compare_count_ranks(scores, qrow, rcol, want)
+        assert np.array_equal(got, want)
+
+    # None keeps _SORT_FROM; 1 sorts every call, 10**9 never sorts
+    @pytest.mark.parametrize("sort_from", [None, 1, 10**9])
+    @pytest.mark.parametrize("block_values", [7, 1 << 20])
+    @pytest.mark.parametrize("r", [1, 2, 3, 5, 10, 54])
+    def test_equal_relevant_counts(self, monkeypatch, sort_from, block_values, r):
+        if sort_from is not None:
+            monkeypatch.setattr(retrieval_eval, "_SORT_FROM", sort_from)
+        monkeypatch.setattr(retrieval_eval, "_BLOCK_VALUES", block_values)
+        rng = np.random.default_rng(r)
+        for dtype, g, odd in [(np.float32, 60, False), (np.float64, 60, True),
+                              (np.float32, 700, True)]:
+            n_rows = 9
+            rows = np.sort(rng.choice(2 * n_rows, n_rows, replace=False))  # rows left out too
+            scores = self.scores(rng, 2 * n_rows, g, dtype, odd)
+            self.check(scores, *self.pairs(rng, rows, g, [min(r, g)] * n_rows))
+
+    @pytest.mark.parametrize("sort_from", [None, 1, 10**9])
+    def test_mixed_relevant_counts_in_one_call(self, monkeypatch, sort_from):
+        if sort_from is not None:
+            monkeypatch.setattr(retrieval_eval, "_SORT_FROM", sort_from)
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            n_rows, g = int(rng.integers(1, 12)), int(rng.integers(1, 80))
+            counts = np.minimum(rng.choice([1, 1, 2, 3, 5, 10, 54], n_rows), g)
+            scores = self.scores(rng, n_rows, g, rng.choice([np.float32, np.float64]),
+                                 bool(rng.integers(2)))
+            self.check(scores, *self.pairs(rng, np.arange(n_rows), g, counts))
+
+    def test_evaluate_equals_dense_path_with_ten_relevant_a_query(self):
+        # the Sat2Drone shape: every query has ten relevant gallery items
+        rng = np.random.default_rng(32)
+        gallery = EmbeddingSet.from_rows([f"g{i:04d}" for i in range(3_000)],
+                                         rng.standard_normal((3_000, 32)))
+        queries = EmbeddingSet.from_rows([f"q{i:03d}" for i in range(300)],
+                                         rng.standard_normal((300, 32)))
+        rel = {q: {gallery.ids[10 * i + j] for j in range(10)}
+               for i, q in enumerate(queries.ids)}
+        assert evaluate(queries, gallery, rel, [1, 5, 10]) == \
+            dense_evaluate(queries, gallery, rel, [1, 5, 10])
