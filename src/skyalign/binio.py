@@ -188,6 +188,8 @@ def write_embeddings(path, ids, matrix) -> None:
     n, dim = mat.shape
     if len(ids) != n:
         raise ValueError("id count does not match row count")
+    if dim < 1:
+        raise ValueError(f"embedding dim {dim} must be >= 1")
     heads = b"".join(_id_records(ids))
     with open(path, "wb") as fh:
         fh.write(EMB_MAGIC + struct.pack("<II", n, dim))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ablations, binio, configio
 from .dataset import CrossViewDataset, generate, relevance_maps
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NormDegenerate, NumericError
 from .model import encode, load_checkpoint, save_checkpoint
 from .pose_geometry import LabelConfig, generate_labels, read_manifest, write_labels, write_manifest
 from .retrieval_eval import (
@@ -132,16 +132,26 @@ def cmd_embed(args) -> None:
     print(f"embedded {len(ids)} views -> {args.out}")
 
 
+def _rows_named(where: str, make, *args):
+    """make(*args), with a zero or non-finite row's error naming where."""
+    try:
+        return make(*args)
+    except NormDegenerate as exc:
+        raise NormDegenerate(f"{where}: {exc}") from None
+
+
 def _load_query_gallery(args):
     if args.dim is not None and args.dim < 1:
         raise ConfigError(f"--dim must be >= 1, got {args.dim}")
-    gallery = EmbeddingSet.load(_require_file(args.gallery))
-    queries = EmbeddingSet.load(_require_file(args.queries))
+    gallery = _rows_named(args.gallery, EmbeddingSet.load, _require_file(args.gallery))
+    queries = _rows_named(args.queries, EmbeddingSet.load, _require_file(args.queries))
     if not queries.ids:
         raise DataError(f"{args.queries}: no query embeddings")
     if args.dim is not None:
-        gallery = truncate_dim(gallery, args.dim)
-        queries = truncate_dim(queries, args.dim)
+        gallery = _rows_named(f"{args.gallery} with --dim {args.dim}",
+                              truncate_dim, gallery, args.dim)
+        queries = _rows_named(f"{args.queries} with --dim {args.dim}",
+                              truncate_dim, queries, args.dim)
     return gallery, queries
 
 

@@ -67,6 +67,10 @@ class NonFiniteLoss(NumericError):
     """Training produced a NaN or infinite loss."""
 
 
+class WorkerDied(NumericError):
+    """A sweep worker process ended without sending its results."""
+
+
 @contextmanager
 def open_text(path, error=DataError):
     """Open path as UTF-8 text for csv; a byte that does not decode, wherever

@@ -10,8 +10,9 @@ and the dataset builder; the dense-table metric path and the csv.writer
 score-table save are those for the streaming evaluate and the joined-row
 ScoreTable.save; the per-field gradient assembly and AdamW are those for
 the flat parameter vector; and the record-by-record FEA1/EMB1 readers and
-writers and the per-pair rank count at the end are those for binio's
-table-at-a-time I/O and retrieval_eval's sorted-row ranks.
+writers and the per-pair rank count are those for binio's table-at-a-time
+I/O and retrieval_eval's sorted-row ranks; the in-process sweep loops at
+the end are those for the sweeps' worker processes.
 """
 
 from __future__ import annotations
@@ -25,12 +26,14 @@ from typing import Optional
 import numpy as np
 
 from skyalign import binio
+from skyalign.ablations import BINS_NONE, train_and_score
 from skyalign.dataset import (
     BUILDING_SPACING_M,
     DRONE_ALTITUDE_M,
     DRONE_RADIUS_M,
     MASKED_BIN,
     BatchSampler,
+    CrossViewDataset,
     GenConfig,
     TrainBatch,
 )
@@ -851,3 +854,40 @@ def compare_count_ranks(scores: np.ndarray, qrow: np.ndarray, rcol: np.ndarray,
         block, c = scores[qrow[s:s + step]], rcol[s:s + step, None]
         v = np.take_along_axis(block, c, axis=1)
         out[s:s + step] = 1 + ((block > v) | (block == v) & (pos < c)).sum(axis=1)
+
+
+# --- the sweeps as they were before their jobs ran in worker processes: each
+# setting and seed trained and scored in turn in this process.  The bodies are
+# the earlier package code.
+
+def loop_ablate_bins(features_path, manifest: list[PoseRecord], base,
+                     bins_list: list, seeds: list[int]) -> list[dict]:
+    views = binio.read_features(features_path)
+    rows = []
+    for setting in bins_list:
+        if setting == BINS_NONE:
+            dataset = CrossViewDataset(views, manifest, base.loss.bins)
+            loss = replace(base.loss, orientation_mode=MODE_NONE)
+        else:
+            bins = int(setting)
+            dataset = CrossViewDataset(views, manifest, bins)
+            loss = replace(base.loss, orientation_mode=MODE_CLASSIFICATION, bins=bins)
+        for seed in seeds:
+            cfg = replace(base, seed=seed, loss=loss)
+            scores = train_and_score(cfg, dataset)
+            rows.append({"bins": str(setting), "seed": seed,
+                         "recall_at_1": scores["recall@1"], "ap": scores["ap"]})
+    return rows
+
+
+def loop_ablate_dim(features_path, manifest: list[PoseRecord], base,
+                    dims: list[int], seeds: list[int]) -> list[dict]:
+    dataset = CrossViewDataset.load(features_path, manifest, base.loss.bins)
+    rows = []
+    for dim in dims:
+        for seed in seeds:
+            cfg = replace(base, seed=seed, embed_dim=int(dim))
+            scores = train_and_score(cfg, dataset)
+            rows.append({"embed_dim": int(dim), "seed": seed,
+                         "recall_at_1": scores["recall@1"], "ap": scores["ap"]})
+    return rows

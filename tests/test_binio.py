@@ -173,10 +173,18 @@ class TestEmbeddings:
 
     @pytest.mark.parametrize("n", [0, 2])
     def test_zero_dim_rejected(self, tmp_path, n):
+        # the package writer refuses dim 0, so the file comes from the reference writer
         path = tmp_path / "e.bin"
-        binio.write_embeddings(path, [f"r{i}" for i in range(n)], np.zeros((n, 0)))
+        record_write_embeddings(path, [f"r{i}" for i in range(n)], np.zeros((n, 0)))
         with pytest.raises(FormatError, match="e.bin: embedding dim 0 must be >= 1"):
             binio.read_embeddings(path)
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_zero_dim_not_written(self, tmp_path, n):
+        path = tmp_path / "e.bin"
+        with pytest.raises(ValueError, match="embedding dim 0 must be >= 1"):
+            binio.write_embeddings(path, [f"r{i}" for i in range(n)], np.zeros((n, 0)))
+        assert not path.exists()
 
 
 def feature_columns(rng, n, dim):

@@ -3,7 +3,8 @@ FormatError, never another exception and never a read sized by an
 unchecked header.  The FEA1 and EMB1 readers must also agree with the
 record-by-record references in oracles.py on every drawn file: the same
 result, or the same error message.  The one intended difference is an EMB1
-header of dim 0, which only the package rejects."""
+header of dim 0, which only the package rejects, and which only the
+reference writer writes."""
 
 import struct
 
@@ -114,6 +115,10 @@ def mutated_files(draw):
 def test_mutated_valid_files(tmp_path, case):
     magic, (write, write_ref), cols, how, where, extra = case
     path, ref = tmp_path / "blob.bin", tmp_path / "ref.bin"
+    if magic == binio.EMB_MAGIC and cols[1].shape[1] == 0:
+        with pytest.raises(ValueError, match="embedding dim 0 must be >= 1"):
+            write(path, *cols)
+        write = write_ref
     write(path, *cols)
     write_ref(ref, *cols)
     data = path.read_bytes()

@@ -15,6 +15,8 @@ from skyalign.errors import NonFiniteLoss
 from skyalign.model import init, load_checkpoint
 from skyalign.retrieval_eval import EmbeddingSet
 
+from oracles import record_write_embeddings
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
@@ -334,7 +336,7 @@ class TestUsageAndExitCodes:
             raise AssertionError("trained before checking the output path")
 
         monkeypatch.setattr("skyalign.cli.train", no_training)
-        monkeypatch.setattr("skyalign.ablations.train", no_training)
+        monkeypatch.setattr("skyalign.ablations.score_jobs", no_training)
         data = pipeline["data"]
         inputs = {
             "eval": ["--gallery", pipeline["emb"]["sat"], "--queries", pipeline["emb"]["drone"],
@@ -583,6 +585,27 @@ class TestEval:
         assert code == 4
         assert "row 3 is not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("role", ["--queries", "--gallery"])
+    @pytest.mark.parametrize("dim", [None, 1], ids=["whole", "dim-1"])
+    def test_zero_row_names_file_and_dim(self, pipeline, tmp_path, capsys, role, dim):
+        ids, matrix = binio.read_embeddings(pipeline["emb"]["drone" if role == "--queries"
+                                                           else "sat"])
+        matrix[1] = 0.0 if dim is None else np.r_[0.0, np.ones(matrix.shape[1] - 1)]
+        bad = tmp_path / "zero_row.bin"
+        binio.write_embeddings(bad, ids, matrix)
+        args = {"--gallery": pipeline["emb"]["sat"], "--queries": pipeline["emb"]["drone"],
+                role: str(bad)}
+        flags = [] if dim is None else ["--dim", str(dim)]
+        out = tmp_path / "m.csv"
+        code = main(["eval", *(x for kv in args.items() for x in kv), "--relevance",
+                     os.path.join(pipeline["data"], "relevance_drone2sat.csv"),
+                     "--k", "1", *flags, "--out", str(out)])
+        assert code == 4
+        where = str(bad) if dim is None else f"{bad} with --dim {dim}"
+        assert capsys.readouterr().err == (f"numeric error: {where}: "
+                                           f"embedding row 1 has norm 0.000e+00\n")
+        assert not out.exists()
+
     def test_oversized_dim_exits_3(self, pipeline, tmp_path, capsys):
         code = main(["eval", "--gallery", pipeline["emb"]["sat"],
                      "--queries", pipeline["emb"]["drone"],
@@ -612,7 +635,7 @@ class TestEval:
     def test_zero_width_embeddings_exit_3(self, pipeline, tmp_path, capsys, role):
         ids = EmbeddingSet.load(pipeline["emb"]["drone" if role == "--queries" else "sat"]).ids
         flat = tmp_path / "flat.bin"
-        binio.write_embeddings(flat, ids, np.zeros((len(ids), 0), dtype=np.float32))
+        record_write_embeddings(flat, ids, np.zeros((len(ids), 0), dtype=np.float32))
         args = {"--gallery": pipeline["emb"]["sat"], "--queries": pipeline["emb"]["drone"],
                 role: str(flat)}
         out = tmp_path / "m.csv"
@@ -731,7 +754,7 @@ class TestAblations:
         def diverged(*args, **kwargs):
             raise NonFiniteLoss("loss is not finite at step 1")
 
-        monkeypatch.setattr("skyalign.ablations.train", diverged)
+        monkeypatch.setattr("skyalign.ablations.score_jobs", diverged)
         out = tmp_path / "sweep.csv"
         if existing:
             out.write_bytes(b"earlier,contents\r\n")
