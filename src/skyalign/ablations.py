@@ -1,22 +1,25 @@
 """Sweep runners: train/evaluate grids over orientation bin counts and
 embedding dimensions, reporting Drone2Sat retrieval quality per seed.
 
-Each sweep's train-and-score jobs run in worker processes, one per usable
-CPU, each with one BLAS thread.  A worker gets its share of the jobs pickled
-on stdin and sends their scores back pickled on stdout; the rows are the
-ones that training the jobs one by one in this process would give."""
+Each sweep's train-and-score jobs run in worker processes forked from this
+one, one per usable CPU, each with its OpenBLAS capped at one thread through
+the library's own setter; without a setter, one worker runs them all.  The
+workers inherit the jobs and take their indices from a pipe, and send their
+scores back pickled; the rows are the ones that training the jobs one by one
+in this process would give."""
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
 import os
 import pickle
+import select
 import signal
-import subprocess
-import sys
 import traceback
 from dataclasses import replace
+from typing import NoReturn
 
 import numpy as np
 
@@ -55,78 +58,112 @@ def train_and_score(cfg: TrainConfig, dataset: CrossViewDataset) -> dict[str, fl
     return drone2sat_metrics(params, dataset)
 
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
-# run with -c, not -m, so that what the worker pickles is named skyalign.*
-WORKER_CODE = "from skyalign.ablations import work; work()"
+BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                       "openblas_set_num_threads")
 
 
-def work() -> None:
-    """A worker's body: read a pickled list of (cfg, dataset) jobs from stdin
-    and write back the pickled list of their score dicts.  A job that raises
-    ends the list with its exception, which carries the worker's traceback
-    as a note."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
-    results = []
-    for cfg, dataset in pickle.load(sys.stdin.buffer):
-        try:
-            results.append(train_and_score(cfg, dataset))
-        except Exception as exc:
-            exc.__notes__ = [*getattr(exc, "__notes__", ()),
-                             "in a sweep worker:\n" + traceback.format_exc()]
-            results.append(exc)
-            break
-    pickle.dump(results, sys.stdout.buffer, protocol=pickle.HIGHEST_PROTOCOL)
-    sys.stdout.buffer.flush()
+def blas_thread_setter():
+    """The thread-count setter of an OpenBLAS mapped into this process, or
+    None.  numpy loads its BLAS with local symbols, so it is found by path."""
+    with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
+        paths = sorted({line.split(maxsplit=5)[-1].rstrip("\n") for line in fh if "blas" in line})
+    for path in paths:
+        with contextlib.suppress(OSError):  # not a library, or deleted since it was mapped
+            lib = ctypes.CDLL(path)
+            for setter in (getattr(lib, name, None) for name in BLAS_THREAD_SETTERS):
+                if setter is not None:
+                    setter.argtypes = [ctypes.c_int]
+                    return setter
+    return None
 
 
-def _worker_env() -> dict[str, str]:
-    """This process's environment with one BLAS thread, and the directory
-    that holds this skyalign package first on PYTHONPATH."""
-    env = dict(os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"))
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    return env
+def _work(jobs, queue: tuple[int, int], write_fd: int, set_blas_threads) -> NoReturn:
+    """A forked worker: train_and_score the jobs whose 4-byte indices it takes
+    from the queue pipe and write the pickled (index, scores) pairs to
+    write_fd; a job that raises ends the list with its exception, noted with
+    the worker's traceback.  Whatever is raised, it never returns into the
+    caller and never flushes inherited stdio: os._exit(1)."""
+    status = 1
+    try:
+        os.close(queue[1])  # else the queue never ends
+        if set_blas_threads is not None:
+            set_blas_threads(1)
+        results = []
+        with open(queue[0], "rb", buffering=0) as indices:
+            while index := indices.read(4):
+                j = int.from_bytes(index, "little")
+                try:
+                    results.append((j, train_and_score(*jobs[j])))
+                except Exception as exc:
+                    exc.__notes__ = [*getattr(exc, "__notes__", ()),
+                                     "in a sweep worker:\n" + traceback.format_exc()]
+                    results.append((j, exc))
+                    break
+        with open(write_fd, "wb") as fh:
+            pickle.dump(results, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
 
 
-def _share_results(proc: subprocess.Popen) -> list:
-    data = proc.stdout.read()
-    status = proc.wait()
-    if status != 0 or not data:
-        how = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
-        raise WorkerDied(f"sweep worker {how} before sending its results")
-    return pickle.loads(data)
+def _share_results(pid: int, read_fd: int) -> list:
+    with open(read_fd, "rb", closefd=False) as fh:
+        data = fh.read()
+    info = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # score_jobs reaps it
+    if info.si_code == os.CLD_EXITED and info.si_status == 0 and data:
+        return pickle.loads(data)
+    how = (f"exited with status {info.si_status}" if info.si_code == os.CLD_EXITED
+           else f"was killed by signal {info.si_status}")
+    raise WorkerDied(f"sweep worker {how} before sending its results")
 
 
 def score_jobs(jobs: list[tuple[TrainConfig, CrossViewDataset]]) -> list[dict[str, float]]:
-    """train_and_score for every (cfg, dataset) job, in W worker processes
-    (one per usable CPU, at most one per job); job j runs on worker j % W.
+    """train_and_score for every (cfg, dataset) job, in W workers forked from
+    this process, which take job indices from one pipe: one worker per usable
+    CPU and at most one per job, or only one if blas_thread_setter finds none.
     Returns the scores in job order, or raises the exception of the first
-    job, in job order, that raised."""
-    n_workers = min(len(jobs), len(os.sched_getaffinity(0)))
-    env = _worker_env()
-    workers: list[subprocess.Popen] = []
-    try:
-        for _ in range(n_workers):
-            workers.append(subprocess.Popen([sys.executable, "-c", WORKER_CODE], env=env,
-                                            stdin=subprocess.PIPE, stdout=subprocess.PIPE))
-        # every share is written before any result is read, so the workers overlap
-        for w, proc in enumerate(workers):
-            with contextlib.suppress(BrokenPipeError), proc.stdin:  # a dead worker shows below
-                pickle.dump(jobs[w::n_workers], proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
-        shares = [_share_results(proc) for proc in workers]
-    finally:
-        for proc in workers:
-            proc.kill()
-            proc.wait()
-            proc.stdout.close()
-    scores = []
-    for j in range(len(jobs)):
-        result = shares[j % n_workers][j // n_workers]
-        if isinstance(result, Exception):
-            raise result
-        scores.append(result)
-    return scores
+    job, in job order, that raised.
+
+    OpenBLAS quiesces its thread pool across fork (pthread_atfork), so a
+    worker's cap of one thread leaves this process's count as it was.  SIGINT
+    is blocked across each fork and stays blocked in the worker; this process
+    kills and reaps every worker on any exit."""
+    set_blas_threads = blas_thread_setter()
+    n_workers = min(len(jobs), len(os.sched_getaffinity(0)) if set_blas_threads else 1)
+    indices = np.arange(len(jobs), dtype="<u4").tobytes()
+    workers: dict[int, int] = {}  # pid -> read end of its results pipe
+    queue = os.pipe()
+    with open(queue[1], "wb", buffering=0) as put, open(queue[0], "rb", buffering=0) as take:
+        try:
+            for _ in range(n_workers):
+                read_fd, write_fd = os.pipe()
+                try:
+                    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                    if (pid := os.fork()) == 0:
+                        _work(jobs, queue, write_fd, set_blas_threads)
+                    workers[pid] = read_fd
+                except BaseException:
+                    os.close(read_fd)
+                    raise
+                finally:  # before the next fork, so that a dead worker's EOF shows at once
+                    os.close(write_fd)
+                    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+            take.close()
+            with contextlib.suppress(BrokenPipeError):  # every worker gone: reported below
+                for at in range(0, len(indices), select.PIPE_BUF):  # whole writes split no index
+                    put.write(indices[at:at + select.PIPE_BUF])
+            put.close()
+            results = dict(pair for pid, read_fd in workers.items()
+                           for pair in _share_results(pid, read_fd))
+        finally:
+            for pid, read_fd in workers.items():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(read_fd)
+    for j in range(len(jobs)):  # indices are taken in order: all before a failure were run
+        if isinstance(results[j], Exception):
+            raise results[j]
+    return [results[j] for j in range(len(jobs))]
 
 
 def _sweep_rows(key: str, jobs: list[tuple[str | int, TrainConfig, CrossViewDataset]]

@@ -159,10 +159,12 @@ def cmd_eval(args) -> None:
     ks = _int_list(args.k, "--k", 1)
     gallery, queries = _load_query_gallery(args)
     relevance = read_relevance(_require_file(args.relevance))
-    rows = evaluate(queries, gallery, relevance, ks)
-    write_metrics(rows, args.out)
-    if args.dump_scores:
-        score_table(gallery, queries).save(args.dump_scores)
+    dump = _checked_output(args.dump_scores) if args.dump_scores else contextlib.nullcontext()
+    with _checked_output(args.out), dump:
+        rows = evaluate(queries, gallery, relevance, ks)
+        write_metrics(rows, args.out)
+        if args.dump_scores:
+            score_table(gallery, queries).save(args.dump_scores)
     for metric, k, value in rows:
         label = f"{metric}@{k}" if k else metric
         print(f"{label} = {value:.4f}")
@@ -173,13 +175,14 @@ def cmd_ensemble(args) -> None:
     if len(args.scores) < 2:
         raise ConfigError("ensemble needs at least two score tables")
     ks = _int_list(args.k, "--k", 1)
-    tables = [ScoreTable.load(_require_file(p)) for p in args.scores]
     weights = _float_list(args.weights) if args.weights else None
-    if weights is not None and len(weights) != len(tables):
-        raise ConfigError(f"{len(weights)} weights for {len(tables)} score tables")
-    relevance = read_relevance(_require_file(args.relevance))
-    rows = table_metrics(fuse(tables, weights, args.fusion), relevance, ks)
-    write_metrics(rows, args.out)
+    if weights is not None and len(weights) != len(args.scores):
+        raise ConfigError(f"{len(weights)} weights for {len(args.scores)} score tables")
+    with _checked_output(args.out):
+        tables = [ScoreTable.load(_require_file(p)) for p in args.scores]
+        relevance = read_relevance(_require_file(args.relevance))
+        rows = table_metrics(fuse(tables, weights, args.fusion), relevance, ks)
+        write_metrics(rows, args.out)
     for metric, k, value in rows:
         label = f"{metric}@{k}" if k else metric
         print(f"{label} = {value:.4f}")
@@ -197,10 +200,10 @@ def _sweep_inputs(args):
 
 
 @contextlib.contextmanager
-def _sweep_output(path):
-    """Raise now, before any training, the OSError that writing path would
-    raise later; an existing file is left as it is.  If the sweep then fails,
-    a file created by this check is removed again."""
+def _checked_output(path):
+    """Raise now, before the command's work, the OSError that writing path
+    would raise later; an existing file is left as it is.  If the command
+    then fails, a file created by this check is removed again."""
     created = not os.path.exists(path)
     open(path, "a", encoding="utf-8").close()
     try:
@@ -228,7 +231,7 @@ def cmd_ablate_bins(args) -> None:
             bins_list.append(_bin_count(bins))
     if not bins_list:
         raise ConfigError("need at least one bins setting")
-    with _sweep_output(args.out):
+    with _checked_output(args.out):
         rows = ablations.ablate_bins(features_path, manifest, cfg, bins_list, seeds)
         ablations.write_sweep_csv(rows, ["bins", "seed", "recall_at_1", "ap"], args.out)
     for setting, mean in ablations.summarize(rows, "bins").items():
@@ -241,7 +244,7 @@ def cmd_ablate_dim(args) -> None:
     dims = _int_list(args.dims, "--dims", 1)
     if not dims:
         raise ConfigError("need at least one dim")
-    with _sweep_output(args.out):
+    with _checked_output(args.out):
         rows = ablations.ablate_dim(features_path, manifest, cfg, dims, seeds)
         ablations.write_sweep_csv(rows, ["embed_dim", "seed", "recall_at_1", "ap"], args.out)
     for setting, mean in ablations.summarize(rows, "embed_dim").items():

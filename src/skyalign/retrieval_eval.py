@@ -68,7 +68,6 @@ from __future__ import annotations
 import csv
 import io
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,6 +271,8 @@ def top_k(gallery: EmbeddingSet, queries: EmbeddingSet, k: int, *,
     if workers <= 1 or len(blocks) <= 1:
         parts = [run(b) for b in blocks]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # not imported on every CLI start
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, blocks))
 

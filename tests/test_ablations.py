@@ -1,9 +1,12 @@
-"""The sweeps' worker processes: the rows of training each job in turn in
-this process, whatever the worker count; a sweep started from a process that
-found skyalign only through sys.path; and every way a worker or its job can
-fail, with no worker left behind."""
+"""The sweeps' forked worker processes: the rows of training each job in turn
+in this process, whatever the worker count; a sweep started from a process
+that found skyalign only through sys.path; one OpenBLAS thread per worker;
+and every way a worker or its job can fail, with no worker left behind."""
 
+import ctypes
 import os
+import pickle
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -81,17 +84,53 @@ def test_sweep_from_a_process_that_found_skyalign_on_sys_path(data, tmp_path):
     assert out.read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
 
-@pytest.mark.parametrize("code,status", [
-    ("import sys; sys.exit(3)", "exited with status 3"),
-    ("import sys; sys.stdin.buffer.read(1); sys.exit(0)", "exited with status 0"),
-    ("import os, signal; os.kill(os.getpid(), signal.SIGKILL)", "was killed by signal 9"),
-    ("import os, sys; sys.stdout.buffer.write(b'\\x80\\x05'); sys.stdout.flush(); os._exit(7)",
-     "exited with status 7"),
-], ids=["exit-3", "exit-0-without-results", "killed", "exit-7-mid-results"])
+def exit_3(cfg, dataset):
+    os._exit(3)
+
+
+def exit_0(cfg, dataset):
+    os._exit(0)
+
+
+def killed(cfg, dataset):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+JOBS_TAKEN = []  # each worker inherits it empty: this process never runs a job
+
+
+def exit_7_after_a_result(cfg, dataset):
+    JOBS_TAKEN.append(cfg)
+    if len(JOBS_TAKEN) > 1:
+        os._exit(7)
+    return {"recall@1": 0.5, "ap": 0.5}
+
+
+TEST_PROCESS, DUMP = os.getpid(), pickle.dump
+
+
+def dump_part_then_exit_7(obj, fh, **kwargs):
+    # some result bytes come back, but the exit status is not 0
+    if os.getpid() == TEST_PROCESS:
+        return DUMP(obj, fh, **kwargs)
+    fh.write(pickle.dumps(obj)[:2])
+    fh.flush()
+    os._exit(7)
+
+
+@pytest.mark.parametrize("owner,name,patch,status", [
+    (ablations, "train_and_score", exit_3, "exited with status 3"),
+    (ablations, "train_and_score", exit_0, "exited with status 0"),
+    (ablations, "train_and_score", killed, "was killed by signal 9"),
+    (ablations.pickle, "dump", dump_part_then_exit_7, "exited with status 7"),
+    (ablations, "train_and_score", exit_7_after_a_result, "exited with status 7"),
+], ids=["exit-3", "exit-0-without-results", "killed", "exit-7-mid-results",
+        "exit-7-after-a-result"])
 @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
-def test_worker_that_ends_early_exits_4(data, tmp_path, capsys, monkeypatch, code, status,
-                                        existing):
-    monkeypatch.setattr(ablations, "WORKER_CODE", code)
+def test_worker_that_ends_early_exits_4(data, tmp_path, capsys, monkeypatch, owner, name, patch,
+                                        status, existing):
+    use_cpus(monkeypatch, 2)  # four jobs on two workers: one of them takes a second job
+    monkeypatch.setattr(owner, name, patch)
     out = tmp_path / "sweep.csv"
     if existing:
         out.write_bytes(b"earlier,contents\r\n")
@@ -105,17 +144,20 @@ def test_worker_that_ends_early_exits_4(data, tmp_path, capsys, monkeypatch, cod
         assert not out.exists()
 
 
-def test_worker_gone_before_its_share_is_written_exits_4(data, tmp_path, capsys, monkeypatch):
-    # each worker has exited before the parent writes to it: a broken pipe
-    popen = subprocess.Popen
+def test_worker_that_exits_before_it_takes_a_job_exits_4(data, tmp_path, capsys, monkeypatch):
+    # each worker has exited before the next is forked, so writing the job
+    # indices meets a pipe with no reader left
+    fork = os.fork
 
-    def started_and_ended(*args, **kwargs):
-        proc = popen(*args, **kwargs)
-        proc.wait()
-        return proc
+    def forked_and_ended():
+        pid = fork()
+        if pid:
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        return pid
 
-    monkeypatch.setattr(ablations, "WORKER_CODE", "import sys; sys.exit(3)")
-    monkeypatch.setattr(subprocess, "Popen", started_and_ended)
+    monkeypatch.setattr(ablations, "blas_thread_setter", lambda: lambda n: os._exit(3))
+    monkeypatch.setattr(os, "fork", forked_and_ended)
+    use_cpus(monkeypatch, 2)
     out = tmp_path / "sweep.csv"
     assert main(["ablate-bins", "--config", data["train_cfg"], "--data", data["dir"],
                  "--bins", "4,8", "--seeds", "0", "--out", str(out)]) == 4
@@ -124,9 +166,28 @@ def test_worker_gone_before_its_share_is_written_exits_4(data, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("raised", [SystemExit, KeyboardInterrupt])
+def test_job_raising_exit_or_interrupt_ends_only_its_worker(data, tmp_path, capsys, monkeypatch,
+                                                           raised):
+    def raising(cfg, dataset):
+        raise raised
+
+    monkeypatch.setattr(ablations, "train_and_score", raising)
+    parent = os.getpid()
+    try:
+        code = main(["ablate-dim", "--config", data["train_cfg"], "--data", data["dir"],
+                     "--dims", "8,16", "--seeds", "0", "--out", str(tmp_path / "sweep.csv")])
+    finally:
+        if os.getpid() != parent:  # a worker got past score_jobs: its status tells
+            os._exit(99)
+    assert code == 4
+    assert capsys.readouterr().err == ("numeric error: sweep worker exited with status 1 "
+                                       "before sending its results\n")
+
+
 @pytest.mark.parametrize("order", ["batch-first", "loss-first"])
 def test_first_failing_job_in_job_order_is_raised(data, monkeypatch, order):
-    # two workers: jobs 0 and 2 on one, 1 and 3 on the other
+    # two workers take the four jobs from one queue
     use_cpus(monkeypatch, 2)
     dataset = CrossViewDataset.load(data["features"], data["manifest"], data["cfg"].loss.bins)
     good = data["cfg"]
@@ -141,7 +202,7 @@ def test_first_failing_job_in_job_order_is_raised(data, monkeypatch, order):
 
 def test_interrupted_sweep_leaves_no_worker(data, monkeypatch):
     # the autouse fixture fails the test if a worker is left running or unreaped
-    def interrupted(proc):
+    def interrupted(pid, read_fd):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(ablations, "_share_results", interrupted)
@@ -150,12 +211,63 @@ def test_interrupted_sweep_leaves_no_worker(data, monkeypatch):
         ablations.score_jobs([(data["cfg"], dataset)] * 2)
 
 
-def test_workers_get_one_blas_thread_and_this_package(monkeypatch):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    monkeypatch.setenv("PYTHONPATH", "elsewhere")
-    env = ablations._worker_env()
-    assert all(env[name] == "1" for name in ablations.BLAS_THREAD_VARS)
-    first, rest = env["PYTHONPATH"].split(os.pathsep)
-    assert (os.path.realpath(first), rest) == (os.path.realpath(SRC), "elsewhere")
-    changed = {k for k in env if env[k] != os.environ.get(k)}
-    assert changed <= {"PYTHONPATH", *ablations.BLAS_THREAD_VARS}
+def blas_threads() -> int:
+    """This process's OpenBLAS thread count, read through the library."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                getattr(lib, name).restype = ctypes.c_int
+                return getattr(lib, name)()
+    pytest.skip("numpy's BLAS here is not OpenBLAS")
+
+
+def test_a_worker_runs_one_blas_thread_and_the_parent_keeps_its_count(monkeypatch):
+    before = blas_threads()
+    set_threads = ablations.blas_thread_setter()
+    set_threads(2)
+    try:
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(ablations, "train_and_score",
+                            lambda cfg, dataset: {"threads": blas_threads()})
+        assert ablations.score_jobs([(None, None)] * 4) == [{"threads": 1}] * 4
+        assert blas_threads() == 2
+    finally:
+        set_threads(before)
+
+
+def test_without_a_blas_setter_one_worker_gives_the_loop_rows(data, monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    use_cpus(monkeypatch, 4)
+    monkeypatch.setattr(ablations, "blas_thread_setter", lambda: None)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    args = (data["features"], data["manifest"], data["cfg"], [8, 16], [0, 1])
+    assert ablations.ablate_dim(*args) == loop_ablate_dim(*args)
+    assert len(forks) == 1
+
+
+def test_more_job_indices_than_a_pipe_holds(monkeypatch):
+    # 20 000 indices are 80 000 bytes, more than a pipe buffer; four workers
+    # share two CPUs.  SIGALRM ends a hang as a failure.
+    def timed_out(signum, frame):
+        raise TimeoutError("the sweep hung")
+
+    use_cpus(monkeypatch, 4)
+    monkeypatch.setattr(ablations, "train_and_score", lambda j, _: {"recall@1": j, "ap": 0.0})
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(120)
+    try:
+        scores = ablations.score_jobs([(j, None) for j in range(20_000)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert scores == [{"recall@1": j, "ap": 0.0} for j in range(20_000)]

@@ -4,6 +4,8 @@ through main(argv), with exit codes, artifact bytes, and env overrides."""
 import filecmp
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +97,16 @@ def pipeline(tmp_path_factory):
         "train_cfg": train_cfg, "run": run, "run2": run2,
         "emb": emb, "metrics": metrics, "scores": scores, "scores2": scores2,
     }
+
+
+def test_cli_import_leaves_out_subprocess_and_thread_pools():
+    # only the sweeps start processes (by fork) and only top_k(workers > 1) threads
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import skyalign.cli; "
+            "print(sorted({'subprocess', 'concurrent.futures'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 class TestUsageAndExitCodes:
@@ -319,6 +331,10 @@ class TestUsageAndExitCodes:
         (["eval", "--out", "{tmp}/m.csv", "--dump-scores", "{tmp}/missing/s.csv"],
          "{tmp}/missing/s.csv", "No such file or directory"),
         (["eval", "--out", "{tmp}"], "{tmp}", "Is a directory"),
+        (["eval", "--out", "{tmp}/m.csv", "--dump-scores", "{tmp}"], "{tmp}", "Is a directory"),
+        (["ensemble", "--out", "{tmp}/missing/f.csv"], "{tmp}/missing/f.csv",
+         "No such file or directory"),
+        (["ensemble", "--out", "{tmp}"], "{tmp}", "Is a directory"),
         (["embed", "--out", "{tmp}/missing/x.bin"], "{tmp}/missing/x.bin",
          "No such file or directory"),
         (["gen-labels", "--out", "{tmp}/missing/l.csv"], "{tmp}/missing/l.csv",
@@ -328,15 +344,18 @@ class TestUsageAndExitCodes:
         (["ablate-bins", "--out", "{tmp}/missing/x.csv"], "{tmp}/missing/x.csv",
          "No such file or directory"),
         (["train", "--out", "{cfg}"], "{cfg}", "File exists"),
-    ], ids=["eval-out", "eval-dump-scores", "eval-out-directory", "embed-out",
-            "gen-labels-out", "ablate-dim-out", "ablate-bins-out", "train-out-file"])
+    ], ids=["eval-out", "eval-dump-scores", "eval-out-directory", "eval-dump-scores-directory",
+            "ensemble-out", "ensemble-out-directory", "embed-out", "gen-labels-out",
+            "ablate-dim-out", "ablate-bins-out", "train-out-file"])
     def test_unwritable_output_exits_3(self, pipeline, tmp_path, capsys, monkeypatch, argv,
                                        target, reason):
-        def no_training(*args, **kwargs):
-            raise AssertionError("trained before checking the output path")
+        def no_work(*args, **kwargs):
+            raise AssertionError("worked before checking the output path")
 
-        monkeypatch.setattr("skyalign.cli.train", no_training)
-        monkeypatch.setattr("skyalign.ablations.score_jobs", no_training)
+        for name in ["skyalign.cli.train", "skyalign.ablations.score_jobs",
+                     "skyalign.cli.evaluate", "skyalign.cli.score_table",
+                     "skyalign.cli.ScoreTable.load", "skyalign.cli.fuse"]:
+            monkeypatch.setattr(name, no_work)
         data = pipeline["data"]
         inputs = {
             "eval": ["--gallery", pipeline["emb"]["sat"], "--queries", pipeline["emb"]["drone"],
@@ -349,11 +368,14 @@ class TestUsageAndExitCodes:
             "ablate-bins": ["--config", pipeline["train_cfg"], "--data", data,
                             "--bins", "8", "--seeds", "0"],
             "train": ["--config", pipeline["train_cfg"], "--data", data],
+            "ensemble": ["--scores", pipeline["scores"], pipeline["scores2"],
+                         "--relevance", os.path.join(data, "relevance_drone2sat.csv")],
         }[argv[0]]
         names = {"tmp": str(tmp_path), "cfg": pipeline["train_cfg"]}
         code = main(argv[:1] + inputs + [a.format(**names) for a in argv[1:]])
         assert code == 3
         assert capsys.readouterr().err == f"io error: {reason}: {target.format(**names)}\n"
+        assert os.listdir(tmp_path) == []  # a file the check created is gone again
 
 
 class TestGenData:
