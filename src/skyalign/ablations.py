@@ -28,7 +28,7 @@ from .dataset import CrossViewDataset
 from .errors import WorkerDied
 from .model import ModelParams, encode
 from .objectives import MODE_CLASSIFICATION, MODE_NONE
-from .pose_geometry import PoseRecord
+from .pose_geometry import Manifest
 from .retrieval_eval import EmbeddingSet, evaluate
 from .trainer import TrainConfig, train
 
@@ -174,7 +174,7 @@ def _sweep_rows(key: str, jobs: list[tuple[str | int, TrainConfig, CrossViewData
             for (setting, cfg, _), s in zip(jobs, scores)]
 
 
-def ablate_bins(features_path, manifest: list[PoseRecord], base: TrainConfig,
+def ablate_bins(features_path, manifest: Manifest, base: TrainConfig,
                 bins_list: list, seeds: list[int]) -> list[dict]:
     """Sweep orientation supervision: integer bin counts, or "none" for the
     contrastive-only baseline.  The feature file is read once and the
@@ -193,7 +193,7 @@ def ablate_bins(features_path, manifest: list[PoseRecord], base: TrainConfig,
     return _sweep_rows("bins", jobs)
 
 
-def ablate_dim(features_path, manifest: list[PoseRecord], base: TrainConfig,
+def ablate_dim(features_path, manifest: Manifest, base: TrainConfig,
                dims: list[int], seeds: list[int]) -> list[dict]:
     """Sweep the embedding width on a fixed dataset."""
     dataset = CrossViewDataset.load(features_path, manifest, base.loss.bins)

@@ -96,8 +96,8 @@ def cmd_gen_labels(args) -> None:
     manifest = read_manifest(_require_file(args.manifest))
     labels = generate_labels(manifest, label_cfg)
     write_labels(labels, args.out)
-    n_masked = sum(1 for lab in labels if lab.masked)
-    print(f"wrote {len(labels)} labels ({n_masked} masked) to {args.out}")
+    n_masked = int(np.isnan(labels.azimuth_deg).sum())
+    print(f"wrote {len(labels.view_ids)} labels ({n_masked} masked) to {args.out}")
 
 
 def cmd_train(args) -> None:
@@ -156,6 +156,8 @@ def _load_query_gallery(args):
 
 
 def cmd_eval(args) -> None:
+    if args.dump_scores and os.path.realpath(args.dump_scores) == os.path.realpath(args.out):
+        raise ConfigError(f"--out and --dump-scores name the same file: {args.out}")
     ks = _int_list(args.k, "--k", 1)
     gallery, queries = _load_query_gallery(args)
     relevance = read_relevance(_require_file(args.relevance))
@@ -189,16 +191,6 @@ def cmd_ensemble(args) -> None:
     print(f"wrote fused metrics to {args.out}")
 
 
-def _sweep_inputs(args):
-    cfg = configio.load_train_config(_require_file(args.config), {"seed": args.seed})
-    features_path = _require_file(os.path.join(args.data, FEATURES_NAME))
-    manifest = read_manifest(_require_file(os.path.join(args.data, MANIFEST_NAME)))
-    seeds = _int_list(args.seeds, "--seeds", 0)
-    if not seeds:
-        raise ConfigError("need at least one seed")
-    return cfg, features_path, manifest, seeds
-
-
 @contextlib.contextmanager
 def _checked_output(path):
     """Raise now, before the command's work, the OSError that writing path
@@ -214,42 +206,53 @@ def _checked_output(path):
         raise
 
 
-def cmd_ablate_bins(args) -> None:
-    cfg, features_path, manifest, seeds = _sweep_inputs(args)
-    bins_list: list = []
-    for tok in args.bins.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if tok == ablations.BINS_NONE:
-            bins_list.append(tok)
-        else:
-            try:
-                bins = int(tok)
-            except ValueError:
-                raise ConfigError(f"bad bins entry {tok!r}") from None
-            bins_list.append(_bin_count(bins))
-    if not bins_list:
-        raise ConfigError("need at least one bins setting")
+def _run_sweep(args, key: str, parse_settings, sweep) -> None:
+    """Read a sweep's inputs, then parse_settings(), run sweep over them and
+    write its CSV, with key as the settings column, and print each
+    setting's mean R@1."""
+    cfg = configio.load_train_config(_require_file(args.config), {"seed": args.seed})
+    features_path = _require_file(os.path.join(args.data, FEATURES_NAME))
+    manifest = read_manifest(_require_file(os.path.join(args.data, MANIFEST_NAME)))
+    seeds = _int_list(args.seeds, "--seeds", 0)
+    if not seeds:
+        raise ConfigError("need at least one seed")
+    settings = parse_settings()
     with _checked_output(args.out):
-        rows = ablations.ablate_bins(features_path, manifest, cfg, bins_list, seeds)
-        ablations.write_sweep_csv(rows, ["bins", "seed", "recall_at_1", "ap"], args.out)
-    for setting, mean in ablations.summarize(rows, "bins").items():
-        print(f"bins={setting}: mean R@1 = {mean:.4f}")
+        rows = sweep(features_path, manifest, cfg, settings, seeds)
+        ablations.write_sweep_csv(rows, [key, "seed", "recall_at_1", "ap"], args.out)
+    for setting, mean in ablations.summarize(rows, key).items():
+        print(f"{key}={setting}: mean R@1 = {mean:.4f}")
     print(f"wrote sweep to {args.out}")
+
+
+def cmd_ablate_bins(args) -> None:
+    def settings() -> list:
+        bins_list: list = []
+        for tok in args.bins.split(","):
+            tok = tok.strip()
+            if not tok:
+                continue
+            if tok == ablations.BINS_NONE:
+                bins_list.append(tok)
+            else:
+                try:
+                    bins = int(tok)
+                except ValueError:
+                    raise ConfigError(f"bad bins entry {tok!r}") from None
+                bins_list.append(_bin_count(bins))
+        if not bins_list:
+            raise ConfigError("need at least one bins setting")
+        return bins_list
+    _run_sweep(args, "bins", settings, ablations.ablate_bins)
 
 
 def cmd_ablate_dim(args) -> None:
-    cfg, features_path, manifest, seeds = _sweep_inputs(args)
-    dims = _int_list(args.dims, "--dims", 1)
-    if not dims:
-        raise ConfigError("need at least one dim")
-    with _checked_output(args.out):
-        rows = ablations.ablate_dim(features_path, manifest, cfg, dims, seeds)
-        ablations.write_sweep_csv(rows, ["embed_dim", "seed", "recall_at_1", "ap"], args.out)
-    for setting, mean in ablations.summarize(rows, "embed_dim").items():
-        print(f"embed_dim={setting}: mean R@1 = {mean:.4f}")
-    print(f"wrote sweep to {args.out}")
+    def settings() -> list[int]:
+        dims = _int_list(args.dims, "--dims", 1)
+        if not dims:
+            raise ConfigError("need at least one dim")
+        return dims
+    _run_sweep(args, "embed_dim", settings, ablations.ablate_dim)
 
 
 def build_parser() -> argparse.ArgumentParser:

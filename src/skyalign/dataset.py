@@ -2,10 +2,12 @@
 sampler, and the aligned-rotation augmentation.
 
 Views travel as one column table (binio.Views, the FEA1 record fields) from
-the generator through the feature file to CrossViewDataset.  The pose
-manifest is the only labelling authority: a dataset takes each view's
-building, and each drone's mask, azimuth and orientation bin, from
-generate_labels, never from the views' own azimuth or masked columns.
+the generator through the feature file to CrossViewDataset, and the pose
+manifest as another (pose_geometry.Manifest).  The manifest is the only
+labelling authority: a dataset takes each view's building from its columns,
+and each drone's mask, azimuth and orientation bin from the Labels table
+that generate_labels makes of it, never from the views' own azimuth or
+masked columns.
 
 Batch sampling and aligned rotation are array operations that draw from
 their generators exactly what one scalar call per row would.
@@ -26,7 +28,6 @@ mod 360, and the relative orientation that defines the label is
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,12 +36,9 @@ from . import binio
 from .binio import Views
 from .errors import BatchTooLarge, ConfigError, DataError
 from .pose_geometry import (
-    KIND_DRONE,
-    KIND_SAT,
-    STATUS_FAILED,
-    STATUS_OK,
+    MASKED_BIN,
     LabelConfig,
-    PoseRecord,
+    Manifest,
     bin_of,
     generate_labels,
     relative_azimuth,
@@ -53,8 +51,6 @@ from .pose_geometry import (
 DRONE_RADIUS_M = 100.0
 DRONE_ALTITUDE_M = 50.0
 BUILDING_SPACING_M = 1000.0
-
-MASKED_BIN = -1
 
 
 @dataclass(frozen=True)
@@ -106,12 +102,7 @@ class TrainBatch:
         return len(self.drone_rows)
 
 
-def _orientation_block(angle_deg: float) -> tuple[float, float]:
-    rad = math.radians(angle_deg)
-    return math.cos(rad), math.sin(rad)
-
-
-def generate(cfg: GenConfig) -> tuple[Views, list[PoseRecord]]:
+def generate(cfg: GenConfig) -> tuple[Views, Manifest]:
     """Generate per-building satellite and drone views plus a pose manifest.
 
     Per building, an independent RNG substream keyed by (seed, 0, building
@@ -120,63 +111,55 @@ def generate(cfg: GenConfig) -> tuple[Views, list[PoseRecord]]:
     manifest places the drone at the drawn bearing on a 100 m circle and the
     stored azimuth is recomputed from those positions, so label generation
     from the manifest reproduces the generator's bins exactly.  The views
-    hold float64 vectors and azimuths; a satellite's azimuth is 0.
+    hold float64 vectors and azimuths; a satellite's azimuth is 0.  Only the
+    draws run per building; the rest is column arithmetic.
     """
     per_building = 1 + cfg.views_per_building
     n = cfg.n_buildings * per_building
-    ids: list[str] = []
     kinds = np.full(n, binio.KIND_DRONE_CODE, dtype=np.uint8)
     kinds[::per_building] = binio.KIND_SAT_CODE
+    drone = kinds == binio.KIND_DRONE_CODE
     vectors = np.empty((n, cfg.latent_dim + 2))
-    azimuths = np.zeros(n)
-    masked = np.zeros(n, dtype=bool)
-    manifest: list[PoseRecord] = []
+    latents = np.empty((cfg.n_buildings, 1, cfg.latent_dim))
+    drawn, coins = np.zeros(n), np.zeros(n)  # per row: drawn bearing, failure coin
     for b in range(cfg.n_buildings):
         rng = np.random.default_rng([cfg.seed, 0, b])
-        bid = f"b{b:04d}"
-        sat_pos = (b * BUILDING_SPACING_M, 0.0, 0.0)
         latent = rng.standard_normal(cfg.latent_dim)
-        latent /= np.linalg.norm(latent)
-
+        latents[b, 0] = latent / np.linalg.norm(latent)
         row = b * per_building
-        vectors[row, :-2] = latent + cfg.noise_sigma * rng.standard_normal(cfg.latent_dim)
-        vectors[row, -2:] = _orientation_block(0.0)
-        sat_id = f"{bid}_sat"
-        ids.append(sat_id)
-        manifest.append(PoseRecord(sat_id, bid, KIND_SAT, sat_pos, STATUS_OK))
+        vectors[row, :-2] = rng.standard_normal(cfg.latent_dim)
+        for row in range(row + 1, row + per_building):
+            drawn[row] = rng.uniform(0.0, 360.0)
+            vectors[row, :-2] = rng.standard_normal(cfg.latent_dim)
+            coins[row] = rng.random()
+    by_building = vectors.reshape(cfg.n_buildings, per_building, -1)[..., :-2]
+    by_building *= cfg.noise_sigma
+    by_building += latents
 
-        for v in range(cfg.views_per_building):
-            row += 1
-            drawn = rng.uniform(0.0, 360.0)
-            rad = math.radians(drawn)
-            drone_pos = (
-                sat_pos[0] + DRONE_RADIUS_M * math.sin(rad),
-                sat_pos[1] + DRONE_RADIUS_M * math.cos(rad),
-                DRONE_ALTITUDE_M,
-            )
-            # the azimuth actually encoded everywhere is the one the manifest
-            # geometry reproduces, not the drawn angle (they differ in the
-            # last ulps)
-            azimuth = relative_azimuth(sat_pos, drone_pos)
-            noise = rng.standard_normal(cfg.latent_dim)
-            failed = bool(rng.random() < cfg.fail_prob)
-            vectors[row, :-2] = latent + cfg.noise_sigma * noise
-            vectors[row, -2:] = _orientation_block(azimuth)
-            azimuths[row] = azimuth
-            masked[row] = failed
-            view_id = f"{bid}_d{v:02d}"
-            ids.append(view_id)
-            manifest.append(
-                PoseRecord(view_id, bid, KIND_DRONE, drone_pos,
-                           STATUS_FAILED if failed else STATUS_OK)
-            )
+    xyz = np.zeros((n, 3))
+    xyz[:, 0] = np.repeat(np.arange(cfg.n_buildings) * BUILDING_SPACING_M, per_building)
+    sat_xyz = xyz[drone]  # each drone's satellite position
+    rad = np.radians(drawn[drone])
+    xyz[drone, 0] += DRONE_RADIUS_M * np.sin(rad)
+    xyz[drone, 1] += DRONE_RADIUS_M * np.cos(rad)
+    xyz[drone, 2] = DRONE_ALTITUDE_M
+    # the azimuth actually encoded everywhere is the one the manifest geometry
+    # reproduces, not the drawn angle (they differ in the last ulps)
+    azimuths = np.zeros(n)
+    azimuths[drone] = relative_azimuth(sat_xyz, xyz[drone])
+    rad = np.radians(azimuths)
+    vectors[:, -2] = np.cos(rad)
+    vectors[:, -1] = np.sin(rad)
+    masked = drone & (coins < cfg.fail_prob)
+
+    bids = [f"b{b:04d}" for b in range(cfg.n_buildings)]
+    views = ["sat"] + [f"d{v:02d}" for v in range(cfg.views_per_building)]
+    ids = [f"{bid}_{view}" for bid in bids for view in views]
+    manifest = Manifest(ids, [bid for bid in bids for _ in views], ~drone, xyz, ~masked)
     # internal consistency guard, cheap relative to generation
     label_cfg = LabelConfig(cfg.bins)
-    drones = np.flatnonzero(kinds == binio.KIND_DRONE_CODE)
-    for row, lab in zip(drones, generate_labels(manifest, label_cfg)):
-        assert lab.view_id == ids[row] and lab.masked == masked[row]
-        if not lab.masked:
-            assert lab.bin == bin_of(azimuths[row], label_cfg)
+    assert np.array_equal(generate_labels(manifest, label_cfg).bin,
+                          np.where(masked, MASKED_BIN, bin_of(azimuths, label_cfg))[drone])
     return Views(ids, kinds, vectors, azimuths, masked), manifest
 
 
@@ -185,28 +168,31 @@ class CrossViewDataset:
 
     The manifest is the only labelling authority: each view's building, and
     each drone's mask, azimuth and bin under the given bin count, come from
-    generate_labels.  A masked drone keeps the azimuth stored in the views,
-    which no label uses.  Satellite order follows first appearance in the
-    views; inputs are float64 whatever the views' dtype.
+    the manifest's columns and generate_labels.  A masked drone keeps the
+    azimuth stored in the views, which no label uses.  Satellite order
+    follows first appearance in the views; inputs are float64 whatever the
+    views' dtype.  Of several faults, the one a view-by-view pass meets
+    first is reported.
     """
 
-    def __init__(self, views: Views, manifest: list[PoseRecord], bins: int):
+    def __init__(self, views: Views, manifest: Manifest, bins: int):
         dim = views.vectors.shape[1]
         if dim < 3:
             raise DataError(f"feature vectors have {dim} columns; need a latent block "
                             f"and 2 orientation columns")
-        building_of = {rec.view_id: rec.building_id for rec in manifest}
-        for view_id in views.ids:
-            if view_id not in building_of:
-                raise DataError(f"view {view_id!r} missing from manifest")
-        label_of = {lab.view_id: lab for lab in generate_labels(manifest, LabelConfig(bins))}
+        row_of = dict(zip(manifest.view_ids, range(len(manifest.view_ids))))
+        rows = [row_of.get(view_id, -1) for view_id in views.ids]  # each view's manifest row
+        if -1 in rows:
+            raise DataError(f"view {views.ids[rows.index(-1)]!r} missing from manifest")
+        labels = generate_labels(manifest, LabelConfig(bins))
+        rows = np.array(rows, dtype=np.intp)
         is_sat = views.kinds == binio.KIND_SAT_CODE
         sat_rows = np.flatnonzero(is_sat)
         drone_rows = np.flatnonzero(~is_sat)
 
         building_index: dict[str, int] = {}
-        for row in sat_rows:
-            bid = building_of[views.ids[row]]
+        for row in rows[sat_rows]:
+            bid = manifest.building_ids[row]
             if bid in building_index:
                 raise DataError(f"building {bid!r} has two satellite views")
             building_index[bid] = len(building_index)
@@ -219,24 +205,23 @@ class CrossViewDataset:
         if drone_rows.size == 0:
             raise DataError("no drone views in feature set")
         self.drone_view_ids = [views.ids[row] for row in drone_rows]
-        labels = []
-        for view_id in self.drone_view_ids:
-            lab = label_of.get(view_id)
-            if lab is None:
+        manifest_rows = rows[drone_rows]  # of the drone views
+        bids = [manifest.building_ids[row] for row in manifest_rows]
+        in_labels = ~manifest.is_sat[manifest_rows]  # a drone in the manifest too
+        labelled = np.cumsum(~manifest.is_sat)[manifest_rows] - 1  # its row in labels
+        self.drone_building_idx = np.array([building_index.get(bid, -1) for bid in bids],
+                                           dtype=np.int64)
+        bad = np.flatnonzero(~in_labels | (self.drone_building_idx < 0))
+        if bad.size:
+            view_id = self.drone_view_ids[bad[0]]
+            if not in_labels[bad[0]]:
                 raise DataError(f"drone {view_id!r} missing from manifest")
-            if lab.building_id not in building_index:
-                raise DataError(f"drone {view_id!r}: no satellite for building "
-                                f"{lab.building_id!r}")
-            labels.append(lab)
+            raise DataError(f"drone {view_id!r}: no satellite for building {bids[bad[0]]!r}")
         self.drone_inputs = views.vectors[drone_rows].astype(np.float64, copy=False)
-        self.drone_building_idx = np.array(
-            [building_index[lab.building_id] for lab in labels], dtype=np.int64)
-        self.drone_masked = np.array([lab.masked for lab in labels])
-        self.drone_azimuth_deg = np.array(
-            [float(views.azimuths[row]) if lab.masked else lab.azimuth_deg
-             for row, lab in zip(drone_rows, labels)])
-        self.drone_bins = np.array(
-            [MASKED_BIN if lab.masked else lab.bin for lab in labels], dtype=np.int64)
+        self.drone_bins = labels.bin[labelled]
+        self.drone_masked = self.drone_bins == MASKED_BIN
+        self.drone_azimuth_deg = np.where(self.drone_masked, views.azimuths[drone_rows],
+                                          labels.azimuth_deg[labelled])
         # drone rows sorted stably by building, and each building's row count
         self.drone_order = np.argsort(self.drone_building_idx, kind="stable")
         self.drone_counts = np.bincount(self.drone_building_idx, minlength=self.n_buildings)
@@ -253,34 +238,26 @@ class CrossViewDataset:
         return self.sat_inputs.shape[1]
 
     @classmethod
-    def load(cls, features_path, manifest_records: list[PoseRecord], bins: int) -> "CrossViewDataset":
+    def load(cls, features_path, manifest: Manifest, bins: int) -> "CrossViewDataset":
         """Build from a feature file plus its pose manifest.
 
         Bins come from manifest geometry, so the same feature file can be
         re-binned under any bin count.
         """
-        return cls(binio.read_features(features_path), manifest_records, bins)
+        return cls(binio.read_features(features_path), manifest, bins)
 
 
-def relevance_maps(manifest: list[PoseRecord]) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+def relevance_maps(manifest: Manifest) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
     """(drone-to-sat, sat-to-drone) relevance: a view is relevant to every
     view of its own building on the other side."""
-    sat_of: dict[str, str] = {}
+    columns = list(zip(manifest.view_ids, manifest.building_ids, manifest.is_sat.tolist()))
+    sat_of = {bid: view_id for view_id, bid, is_sat in columns if is_sat}
     drones_of: dict[str, set[str]] = {}
-    for rec in manifest:
-        if rec.kind == KIND_SAT:
-            sat_of[rec.building_id] = rec.view_id
-        else:
-            drones_of.setdefault(rec.building_id, set()).add(rec.view_id)
-    d2s = {}
-    s2d = {}
-    for bid, sat_id in sat_of.items():
-        drones = drones_of.get(bid, set())
-        if drones:
-            s2d[sat_id] = set(drones)
-            for did in drones:
-                d2s[did] = {sat_id}
-    return d2s, s2d
+    for view_id, bid, is_sat in columns:
+        if not is_sat:
+            drones_of.setdefault(bid, set()).add(view_id)
+    s2d = {sat_of[bid]: drones for bid, drones in drones_of.items() if bid in sat_of}
+    return {did: {sat_id} for sat_id, drones in s2d.items() for did in drones}, s2d
 
 
 class BatchSampler:

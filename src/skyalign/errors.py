@@ -51,10 +51,6 @@ class AllMasked(DataError):
     """Every row of a batch is masked; no positive anchor exists."""
 
 
-class DegenerateAzimuth(DataError):
-    """Horizontal offset too small to define an azimuth."""
-
-
 class NumericError(SkyalignError):
     """Numerical failure during computation."""
 

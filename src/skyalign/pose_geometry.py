@@ -4,6 +4,11 @@ Coordinate convention used throughout the package: x points east, y points
 north, z points up, all in meters.  Azimuths are compass bearings measured
 clockwise from north, normalised to ``[0, 360)``, so due north is 0 and due
 east is 90.  Only the horizontal components matter; elevation is ignored.
+
+The pose manifest and its labels are column tables (Manifest, Labels), and
+every function here works on whole columns.  Each bearing still comes from
+``math.atan2``, one call per row: numpy's vectorised arctan2 can differ from
+it in the last bit, which can move an azimuth across a bin edge.
 """
 
 from __future__ import annotations
@@ -11,9 +16,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import NamedTuple
 
-from .errors import DegenerateAzimuth, ManifestError, open_text
+import numpy as np
+
+from .errors import ManifestError, open_text
 
 KIND_SAT = "sat"
 KIND_DRONE = "drone"
@@ -24,23 +31,33 @@ STATUS_FAILED = "failed"
 # the sample has to be masked instead of labelled.
 DEGENERATE_SQ_M2 = 1e-12
 
+MASKED_BIN = -1
+
 MANIFEST_HEADER = ["view_id", "building_id", "kind", "x", "y", "z", "status"]
 LABEL_HEADER = ["view_id", "building_id", "azimuth_deg", "bin", "masked"]
 
 
-@dataclass
-class PoseRecord:
-    """One view's estimated 3D position plus its estimation status.
+class Manifest(NamedTuple):
+    """The pose manifest as columns, one row per view: satellite or drone,
+    an n x 3 float64 position estimate, and whether that estimate is ok.
+    The position of a failed row is ignored by every consumer."""
 
-    Failed records carry no usable position; their coordinate fields are
-    ignored by every consumer.
-    """
+    view_ids: list[str]
+    building_ids: list[str]
+    is_sat: np.ndarray
+    xyz: np.ndarray
+    ok: np.ndarray
 
-    view_id: str
-    building_id: str
-    kind: str  # KIND_SAT or KIND_DRONE
-    position: tuple[float, float, float]
-    status: str  # STATUS_OK or STATUS_FAILED
+
+class Labels(NamedTuple):
+    """Pseudo-labels as columns, one row per drone view in manifest order.
+    A masked row (failed pose estimate or degenerate geometry) has azimuth
+    NaN and bin MASKED_BIN."""
+
+    view_ids: list[str]
+    building_ids: list[str]
+    azimuth_deg: np.ndarray
+    bin: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -58,54 +75,37 @@ class LabelConfig:
         return 360.0 / self.bins
 
 
-@dataclass
-class OrientationLabel:
-    """Pseudo-label for one drone view.
+def relative_azimuth(sat_xyz: np.ndarray, drone_xyz: np.ndarray) -> np.ndarray:
+    """Compass bearing of each drone as seen from its satellite position.
 
-    ``masked`` is True exactly when azimuth and bin are absent (failed pose
-    estimate or degenerate geometry).
+    Takes n x 3 float64 arrays of (x, y, z) rows and returns degrees in
+    ``[0, 360)`` with 0 = due north (+y) and 90 = due east (+x).  The z
+    components are ignored.  A row is NaN when its drone sits (numerically)
+    directly above the satellite, where no bearing exists.
     """
-
-    view_id: str
-    building_id: str
-    azimuth_deg: Optional[float]
-    bin: Optional[int]
-    masked: bool
-
-
-def relative_azimuth(sat_pos: Sequence[float], drone_pos: Sequence[float]) -> float:
-    """Compass bearing of the drone as seen from the satellite position.
-
-    Returns degrees in ``[0, 360)`` with 0 = due north (+y) and 90 = due
-    east (+x).  The z components are ignored.  Raises DegenerateAzimuth
-    when the drone sits (numerically) directly above the satellite.
-    """
-    dx = float(drone_pos[0]) - float(sat_pos[0])
-    dy = float(drone_pos[1]) - float(sat_pos[1])
-    if dx * dx + dy * dy < DEGENERATE_SQ_M2:
-        raise DegenerateAzimuth(
-            f"horizontal offset ({dx}, {dy}) too small to define a bearing"
-        )
-    az = math.degrees(math.atan2(dx, dy)) % 360.0
+    dx = drone_xyz[:, 0] - sat_xyz[:, 0]
+    dy = drone_xyz[:, 1] - sat_xyz[:, 1]
+    angle = np.fromiter(map(math.atan2, dx.tolist(), dy.tolist()), np.float64, dx.size)
+    az = np.degrees(angle) % 360.0
     # a tiny negative angle can round up to exactly 360.0 under the modulo
-    if az >= 360.0:
-        az = 0.0
+    az[az >= 360.0] = 0.0
+    az[dx * dx + dy * dy < DEGENERATE_SQ_M2] = np.nan
     return az
 
 
-def bin_of(azimuth_deg: float, cfg: LabelConfig) -> int:
-    """Discrete bin of an azimuth in [0, 360): half-open sectors of equal width.
+def bin_of(azimuth_deg, cfg: LabelConfig):
+    """Discrete bin of each azimuth in [0, 360): half-open sectors of equal
+    width, elementwise over an array or a scalar.
 
     Bin k covers [k*360/b, (k+1)*360/b), so 0 degrees belongs to bin 0.
     """
-    idx = int(azimuth_deg // cfg.bin_width_deg)
-    if idx >= cfg.bins:  # float edge just below 360
-        idx = cfg.bins - 1
-    return idx
+    idx = np.floor_divide(azimuth_deg, cfg.bin_width_deg).astype(np.int64)
+    return np.minimum(idx, cfg.bins - 1)  # float edge just below 360
 
 
-def rotate_label(bin_idx: int, k_steps: int, cfg: LabelConfig) -> int:
-    """Adjust a bin label for a satellite view rotated by whole bin widths.
+def rotate_label(bin_idx, k_steps, cfg: LabelConfig):
+    """Adjust bin labels for satellite views rotated by whole bin widths,
+    elementwise over arrays or scalars.
 
     Rotating the satellite view clockwise by ``k_steps`` bin widths
     increases the relative label by ``k_steps`` (mod bins).  The synthetic
@@ -114,8 +114,8 @@ def rotate_label(bin_idx: int, k_steps: int, cfg: LabelConfig) -> int:
     return (bin_idx + k_steps) % cfg.bins
 
 
-def generate_labels(manifest: Iterable[PoseRecord], cfg: LabelConfig) -> list[OrientationLabel]:
-    """Produce one OrientationLabel per drone record in manifest order.
+def generate_labels(manifest: Manifest, cfg: LabelConfig) -> Labels:
+    """Label every drone row of the manifest, in manifest order.
 
     A drone is masked when its pose estimate failed or its geometry is
     degenerate; otherwise azimuth and bin are filled in relative to its
@@ -123,49 +123,41 @@ def generate_labels(manifest: Iterable[PoseRecord], cfg: LabelConfig) -> list[Or
     when a building carries more than one satellite record, or when a
     building with drone views lacks a satellite record with status ok.
     """
-    records = list(manifest)
     seen_ids = set()
-    sat_by_building: dict[str, PoseRecord] = {}
-    for rec in records:
-        if rec.view_id in seen_ids:
-            raise ManifestError(f"duplicate view_id {rec.view_id!r}")
-        seen_ids.add(rec.view_id)
-        if rec.kind == KIND_SAT:
-            if rec.building_id in sat_by_building:
-                raise ManifestError(
-                    f"building {rec.building_id!r} has more than one satellite record"
-                )
-            sat_by_building[rec.building_id] = rec
+    sat_of: dict[str, int] = {}  # building id -> satellite row
+    for row, (view_id, bid, is_sat) in enumerate(
+            zip(manifest.view_ids, manifest.building_ids, manifest.is_sat.tolist())):
+        if view_id in seen_ids:
+            raise ManifestError(f"duplicate view_id {view_id!r}")
+        seen_ids.add(view_id)
+        if is_sat:
+            if bid in sat_of:
+                raise ManifestError(f"building {bid!r} has more than one satellite record")
+            sat_of[bid] = row
 
-    labels = []
-    for rec in records:
-        if rec.kind != KIND_DRONE:
-            continue
-        sat = sat_by_building.get(rec.building_id)
-        if sat is None or sat.status != STATUS_OK:
-            raise ManifestError(
-                f"building {rec.building_id!r} lacks a satellite record with status ok"
-            )
-        if rec.status != STATUS_OK:
-            labels.append(OrientationLabel(rec.view_id, rec.building_id, None, None, True))
-            continue
-        try:
-            az = relative_azimuth(sat.position, rec.position)
-        except DegenerateAzimuth:
-            labels.append(OrientationLabel(rec.view_id, rec.building_id, None, None, True))
-            continue
-        labels.append(
-            OrientationLabel(rec.view_id, rec.building_id, az, bin_of(az, cfg), False)
+    drones = np.flatnonzero(~manifest.is_sat)
+    bids = [manifest.building_ids[row] for row in drones]
+    sat = np.array([sat_of.get(bid, -1) for bid in bids], dtype=np.intp)
+    lacking = np.flatnonzero((sat < 0) | ~manifest.ok[sat])
+    if lacking.size:
+        raise ManifestError(
+            f"building {bids[lacking[0]]!r} lacks a satellite record with status ok"
         )
-    return labels
+    live = manifest.ok[drones]
+    azimuth = np.full(drones.size, np.nan)
+    azimuth[live] = relative_azimuth(manifest.xyz[sat[live]], manifest.xyz[drones[live]])
+    bins = np.full(drones.size, MASKED_BIN, dtype=np.int64)
+    defined = ~np.isnan(azimuth)
+    bins[defined] = bin_of(azimuth[defined], cfg)
+    return Labels([manifest.view_ids[row] for row in drones], bids, azimuth, bins)
 
 
-def read_manifest(path) -> list[PoseRecord]:
+def read_manifest(path) -> Manifest:
     """Read a pose manifest CSV (header view_id,building_id,kind,x,y,z,status).
 
     Every coordinate must be finite; a failed record may leave them blank.
     """
-    records = []
+    view_ids, building_ids, is_sat, xyz, ok = [], [], [], [], []
     with open_text(path, ManifestError) as fh:
         reader = csv.reader(fh)
         try:
@@ -194,53 +186,34 @@ def read_manifest(path) -> list[PoseRecord]:
                 raise ManifestError(f"{path}:{lineno}: bad coordinate") from None
             if not all(map(math.isfinite, pos)):
                 raise ManifestError(f"{path}:{lineno}: coordinate is not finite")
-            records.append(PoseRecord(view_id, building_id, kind, pos, status))
-    return records
+            view_ids.append(view_id)
+            building_ids.append(building_id)
+            is_sat.append(kind == KIND_SAT)
+            xyz.append(pos)
+            ok.append(status == STATUS_OK)
+    return Manifest(view_ids, building_ids, np.array(is_sat, dtype=bool),
+                    np.array(xyz, dtype=np.float64).reshape(-1, 3), np.array(ok, dtype=bool))
 
 
-def write_manifest(records: Iterable[PoseRecord], path) -> None:
+def write_manifest(manifest: Manifest, path) -> None:
+    kinds = np.where(manifest.is_sat, KIND_SAT, KIND_DRONE).tolist()
+    statuses = np.where(manifest.ok, STATUS_OK, STATUS_FAILED).tolist()
+    x, y, z = (map(repr, col) for col in manifest.xyz.T.tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_HEADER)
-        for rec in records:
-            x, y, z = rec.position
-            writer.writerow(
-                [rec.view_id, rec.building_id, rec.kind, repr(x), repr(y), repr(z), rec.status]
-            )
+        writer.writerows(zip(manifest.view_ids, manifest.building_ids, kinds, x, y, z, statuses))
 
 
-def write_labels(labels: Iterable[OrientationLabel], path) -> None:
+def write_labels(labels: Labels, path) -> None:
     """Write a label table CSV; masked rows leave azimuth and bin empty."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(LABEL_HEADER)
-        for lab in labels:
-            if lab.masked:
-                writer.writerow([lab.view_id, lab.building_id, "", "", "true"])
-            else:
-                writer.writerow(
-                    [lab.view_id, lab.building_id, repr(lab.azimuth_deg), lab.bin, "false"]
-                )
-
-
-def read_labels(path) -> list[OrientationLabel]:
-    labels = []
-    with open_text(path, ManifestError) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != LABEL_HEADER:
-            raise ManifestError(f"{path}: bad header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ManifestError(f"{path}:{lineno}: expected 5 fields")
-            view_id, building_id, azs, bins_, masked_s = row
-            masked = masked_s == "true"
-            if masked:
-                labels.append(OrientationLabel(view_id, building_id, None, None, True))
-            else:
-                labels.append(
-                    OrientationLabel(view_id, building_id, float(azs), int(bins_), False)
-                )
-    return labels
+        writer.writerows(
+            [view_id, building_id, "", "", "true"] if bin_ == MASKED_BIN
+            else [view_id, building_id, repr(azimuth), bin_, "false"]
+            for view_id, building_id, azimuth, bin_ in zip(
+                labels.view_ids, labels.building_ids, labels.azimuth_deg.tolist(),
+                labels.bin.tolist())
+        )

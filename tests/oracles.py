@@ -5,8 +5,9 @@ functions, deliberately independent of the vectorized numpy routes in the
 package.  Tests compare the two routes; neither is derived from the other.
 The loop-form references are exact-equality references for the training
 batch path, for InfoNCE's gradient and for top_k's block selection; the
-object-form references after them are those for the generator's view table
-and the dataset builder; the dense-table metric path and the csv.writer
+record-form references after them are those for the column pose manifest
+and its labels; the object-form references are those for the generator's
+view table and the dataset builder; the dense-table metric path and the csv.writer
 score-table save are those for the streaming evaluate and the joined-row
 ScoreTable.save; the per-field gradient assembly and AdamW are those for
 the flat parameter vector; and the record-by-record FEA1/EMB1 readers and
@@ -21,7 +22,7 @@ import csv
 import math
 import struct
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from skyalign.binio import (
     _check_room,
     _read_exact,
 )
-from skyalign.errors import DataError, FormatError, UnknownQuery
+from skyalign.errors import DataError, FormatError, ManifestError, UnknownQuery
 from skyalign.model import _forward, orientation_logits
 from skyalign.objectives import (
     MODE_CLASSIFICATION,
@@ -62,15 +63,16 @@ from skyalign.objectives import (
     orientation_mse_with_grad,
 )
 from skyalign.pose_geometry import (
+    DEGENERATE_SQ_M2,
     KIND_DRONE,
     KIND_SAT,
+    LABEL_HEADER,
+    MANIFEST_HEADER,
     STATUS_FAILED,
     STATUS_OK,
     LabelConfig,
-    PoseRecord,
-    bin_of,
-    generate_labels,
-    relative_azimuth,
+    Labels,
+    Manifest,
     rotate_label,
 )
 from skyalign.retrieval_eval import _block_candidates, _id_ordered, _merge, score_table
@@ -315,6 +317,181 @@ def whole_block_topk(gallery, queries, k, gallery_block):
 
 
 # ---------------------------------------------------------------------------
+# Record-form references for the pose manifest.  These are the earlier
+# manifest and label types, one object per view, with the scalar bearing,
+# binning and labelling functions and the record writers; they are kept
+# verbatim apart from their names.  The column forms in the package
+# (Manifest, Labels, relative_azimuth, bin_of, generate_labels,
+# write_manifest, write_labels) must reproduce them exactly: same bits, the
+# same first error and the same bytes.  manifest_of, records_of and
+# label_records convert between the two forms.
+
+
+class DegenerateAzimuth(DataError):
+    """Horizontal offset too small to define an azimuth."""
+
+
+@dataclass
+class PoseRecord:
+    """One view's estimated 3D position plus its estimation status.
+
+    Failed records carry no usable position; their coordinate fields are
+    ignored by every consumer.
+    """
+
+    view_id: str
+    building_id: str
+    kind: str  # KIND_SAT or KIND_DRONE
+    position: tuple[float, float, float]
+    status: str  # STATUS_OK or STATUS_FAILED
+
+
+@dataclass
+class OrientationLabel:
+    """Pseudo-label for one drone view.
+
+    ``masked`` is True exactly when azimuth and bin are absent (failed pose
+    estimate or degenerate geometry).
+    """
+
+    view_id: str
+    building_id: str
+    azimuth_deg: Optional[float]
+    bin: Optional[int]
+    masked: bool
+
+
+def record_relative_azimuth(sat_pos: Sequence[float], drone_pos: Sequence[float]) -> float:
+    """Compass bearing of the drone as seen from the satellite position.
+
+    Returns degrees in ``[0, 360)`` with 0 = due north (+y) and 90 = due
+    east (+x).  The z components are ignored.  Raises DegenerateAzimuth
+    when the drone sits (numerically) directly above the satellite.
+    """
+    dx = float(drone_pos[0]) - float(sat_pos[0])
+    dy = float(drone_pos[1]) - float(sat_pos[1])
+    if dx * dx + dy * dy < DEGENERATE_SQ_M2:
+        raise DegenerateAzimuth(
+            f"horizontal offset ({dx}, {dy}) too small to define a bearing"
+        )
+    az = math.degrees(math.atan2(dx, dy)) % 360.0
+    # a tiny negative angle can round up to exactly 360.0 under the modulo
+    if az >= 360.0:
+        az = 0.0
+    return az
+
+
+def record_bin_of(azimuth_deg: float, cfg: LabelConfig) -> int:
+    """Discrete bin of an azimuth in [0, 360): half-open sectors of equal width.
+
+    Bin k covers [k*360/b, (k+1)*360/b), so 0 degrees belongs to bin 0.
+    """
+    idx = int(azimuth_deg // cfg.bin_width_deg)
+    if idx >= cfg.bins:  # float edge just below 360
+        idx = cfg.bins - 1
+    return idx
+
+
+def record_generate_labels(manifest: Iterable[PoseRecord], cfg: LabelConfig
+                           ) -> list[OrientationLabel]:
+    """Produce one OrientationLabel per drone record in manifest order.
+
+    A drone is masked when its pose estimate failed or its geometry is
+    degenerate; otherwise azimuth and bin are filled in relative to its
+    building's satellite view.  Raises ManifestError when view ids repeat,
+    when a building carries more than one satellite record, or when a
+    building with drone views lacks a satellite record with status ok.
+    """
+    records = list(manifest)
+    seen_ids = set()
+    sat_by_building: dict[str, PoseRecord] = {}
+    for rec in records:
+        if rec.view_id in seen_ids:
+            raise ManifestError(f"duplicate view_id {rec.view_id!r}")
+        seen_ids.add(rec.view_id)
+        if rec.kind == KIND_SAT:
+            if rec.building_id in sat_by_building:
+                raise ManifestError(
+                    f"building {rec.building_id!r} has more than one satellite record"
+                )
+            sat_by_building[rec.building_id] = rec
+
+    labels = []
+    for rec in records:
+        if rec.kind != KIND_DRONE:
+            continue
+        sat = sat_by_building.get(rec.building_id)
+        if sat is None or sat.status != STATUS_OK:
+            raise ManifestError(
+                f"building {rec.building_id!r} lacks a satellite record with status ok"
+            )
+        if rec.status != STATUS_OK:
+            labels.append(OrientationLabel(rec.view_id, rec.building_id, None, None, True))
+            continue
+        try:
+            az = record_relative_azimuth(sat.position, rec.position)
+        except DegenerateAzimuth:
+            labels.append(OrientationLabel(rec.view_id, rec.building_id, None, None, True))
+            continue
+        labels.append(
+            OrientationLabel(rec.view_id, rec.building_id, az, record_bin_of(az, cfg), False)
+        )
+    return labels
+
+
+def record_write_manifest(records: Iterable[PoseRecord], path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(MANIFEST_HEADER)
+        for rec in records:
+            x, y, z = rec.position
+            writer.writerow(
+                [rec.view_id, rec.building_id, rec.kind, repr(x), repr(y), repr(z), rec.status]
+            )
+
+
+def record_write_labels(labels: Iterable[OrientationLabel], path) -> None:
+    """Write a label table CSV; masked rows leave azimuth and bin empty."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(LABEL_HEADER)
+        for lab in labels:
+            if lab.masked:
+                writer.writerow([lab.view_id, lab.building_id, "", "", "true"])
+            else:
+                writer.writerow(
+                    [lab.view_id, lab.building_id, repr(lab.azimuth_deg), lab.bin, "false"]
+                )
+
+
+def manifest_of(records: Iterable[PoseRecord]) -> Manifest:
+    """The column form of a list of pose records."""
+    records = list(records)
+    return Manifest([rec.view_id for rec in records], [rec.building_id for rec in records],
+                    np.array([rec.kind == KIND_SAT for rec in records], dtype=bool),
+                    np.array([rec.position for rec in records], dtype=np.float64).reshape(-1, 3),
+                    np.array([rec.status == STATUS_OK for rec in records], dtype=bool))
+
+
+def records_of(manifest: Manifest) -> list[PoseRecord]:
+    """The record form of a manifest, with Python floats for positions."""
+    return [PoseRecord(view_id, bid, KIND_SAT if is_sat else KIND_DRONE, tuple(pos),
+                       STATUS_OK if ok else STATUS_FAILED)
+            for view_id, bid, is_sat, pos, ok in zip(
+                manifest.view_ids, manifest.building_ids, manifest.is_sat.tolist(),
+                manifest.xyz.tolist(), manifest.ok.tolist())]
+
+
+def label_records(labels: Labels) -> list[OrientationLabel]:
+    """The record form of a label table: None for a masked row's azimuth
+    and bin, Python floats and ints elsewhere."""
+    return [OrientationLabel(view_id, bid, None, None, True) if bin_ == MASKED_BIN
+            else OrientationLabel(view_id, bid, az, bin_, False)
+            for view_id, bid, az, bin_ in zip(labels.view_ids, labels.building_ids,
+                                              labels.azimuth_deg.tolist(), labels.bin.tolist())]
+
+
+# ---------------------------------------------------------------------------
 # Object-form references for the view table.  These are the earlier
 # generator, feature writer and loader and dataset builders, which held one ViewFeature
 # object per view; they are kept verbatim apart from their names.  The
@@ -382,7 +559,7 @@ def generate_objects(cfg: GenConfig) -> tuple[list[ViewFeature], list[PoseRecord
             # the azimuth actually encoded everywhere is the one the manifest
             # geometry reproduces, not the drawn angle (they differ in the
             # last ulps)
-            azimuth = relative_azimuth(sat_pos, drone_pos)
+            azimuth = record_relative_azimuth(sat_pos, drone_pos)
             noise = rng.standard_normal(cfg.latent_dim)
             failed = bool(rng.random() < cfg.fail_prob)
             vec = np.concatenate(
@@ -395,11 +572,11 @@ def generate_objects(cfg: GenConfig) -> tuple[list[ViewFeature], list[PoseRecord
                            STATUS_FAILED if failed else STATUS_OK)
             )
     # internal consistency guard, cheap relative to generation
-    labels = generate_labels(manifest, label_cfg)
+    labels = record_generate_labels(manifest, label_cfg)
     by_view = {lab.view_id: lab for lab in labels}
     for feat in features:
         if feat.kind == KIND_DRONE and not feat.masked:
-            assert by_view[feat.view_id].bin == bin_of(feat.angle_deg, label_cfg)
+            assert by_view[feat.view_id].bin == record_bin_of(feat.angle_deg, label_cfg)
     return features, manifest
 
 
@@ -499,7 +676,7 @@ class ObjectDataset:
                 if bins_by_view is not None:
                     ds.drone_bins[i] = bins_by_view[feat.view_id]
                 else:
-                    ds.drone_bins[i] = bin_of(feat.angle_deg, ds.label_cfg)
+                    ds.drone_bins[i] = record_bin_of(feat.angle_deg, ds.label_cfg)
         ds.drone_order = np.argsort(ds.drone_building_idx, kind="stable")
         ds.drone_counts = np.bincount(ds.drone_building_idx, minlength=ds.n_buildings)
         empty = np.flatnonzero(ds.drone_counts == 0)
@@ -511,12 +688,12 @@ class ObjectDataset:
     def load(cls, features_path, manifest_records: list[PoseRecord], bins: int) -> "ObjectDataset":
         """Build from a feature file plus its pose manifest.
 
-        Bins come from manifest geometry via generate_labels, so the same
+        Bins come from manifest geometry via record_generate_labels, so the same
         feature file can be re-binned under any bin count.
         """
         building_of = {rec.view_id: rec.building_id for rec in manifest_records}
         features = load_features(features_path, building_of)
-        labels = generate_labels(manifest_records, LabelConfig(bins))
+        labels = record_generate_labels(manifest_records, LabelConfig(bins))
         label_by_view = {lab.view_id: lab for lab in labels}
         for feat in features:
             if feat.kind == KIND_DRONE:
@@ -860,7 +1037,7 @@ def compare_count_ranks(scores: np.ndarray, qrow: np.ndarray, rcol: np.ndarray,
 # setting and seed trained and scored in turn in this process.  The bodies are
 # the earlier package code.
 
-def loop_ablate_bins(features_path, manifest: list[PoseRecord], base,
+def loop_ablate_bins(features_path, manifest: Manifest, base,
                      bins_list: list, seeds: list[int]) -> list[dict]:
     views = binio.read_features(features_path)
     rows = []
@@ -880,7 +1057,7 @@ def loop_ablate_bins(features_path, manifest: list[PoseRecord], base,
     return rows
 
 
-def loop_ablate_dim(features_path, manifest: list[PoseRecord], base,
+def loop_ablate_dim(features_path, manifest: Manifest, base,
                     dims: list[int], seeds: list[int]) -> list[dict]:
     dataset = CrossViewDataset.load(features_path, manifest, base.loss.bins)
     rows = []

@@ -109,6 +109,21 @@ def test_cli_import_leaves_out_subprocess_and_thread_pools():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
+def test_benchmark_tracer_resolves_every_target():
+    # perfbench/tracing.py wraps skyalign functions by name, so a rename under
+    # src/ breaks every traced benchmark pass; a fresh interpreter, because
+    # install rebinds module globals
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = ("import sys; sys.path[:0] = sys.argv[1:]; import skyalign.cli; "
+            "import skyalign.retrieval_eval; import tracing; "
+            "print(tracing.install(tracing.Tracer()))")
+    proc = subprocess.run([sys.executable, "-c", code, os.path.join(root, "src"),
+                           os.path.join(root, "perfbench")],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert int(proc.stdout) >= 1
+
+
 class TestUsageAndExitCodes:
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -666,6 +681,18 @@ class TestEval:
                      "--out", str(out)]) == 3
         assert capsys.readouterr().err == f"data error: {flat}: embedding dim 0 must be >= 1\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("dump", ["same.csv", "./same.csv", "{tmp}/same.csv"])
+    def test_out_and_dump_scores_naming_one_file_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                          dump):
+        # the check comes before any input is read: these inputs do not exist
+        monkeypatch.chdir(tmp_path)
+        code = main(["eval", "--gallery", "g.bin", "--queries", "q.bin", "--relevance", "r.csv",
+                     "--out", "same.csv", "--dump-scores", dump.format(tmp=tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == ("config error: --out and --dump-scores name the "
+                                           "same file: same.csv\n")
+        assert os.listdir(tmp_path) == []
 
     def test_bad_k_list_exits_2(self, pipeline, tmp_path):
         code = main(["eval", "--gallery", pipeline["emb"]["sat"],

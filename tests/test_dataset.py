@@ -24,9 +24,10 @@ from oracles import (
     ObjectDataset,
     generate_objects,
     loop_aligned_rotation,
+    records_of,
     save_features,
 )
-from skyalign.pose_geometry import LabelConfig, bin_of, generate_labels
+from skyalign.pose_geometry import MASKED_BIN, LabelConfig, bin_of, generate_labels
 
 
 def small_cfg(**over):
@@ -49,18 +50,18 @@ class TestGenerate:
     def test_counts_and_ids(self):
         views, manifest = generate(small_cfg(n_buildings=2, views_per_building=3))
         assert len(views.ids) == 2 * (1 + 3)
-        assert len(manifest) == len(views.ids)
+        assert len(manifest.view_ids) == len(views.ids) == len(manifest.xyz)
         kinds = views.kinds.tolist()
         assert kinds.count(binio.KIND_SAT_CODE) == 2 and kinds.count(binio.KIND_DRONE_CODE) == 6
         assert len(set(views.ids)) == len(views.ids)
-        assert [rec.view_id for rec in manifest] == views.ids
+        assert manifest.view_ids == views.ids
 
     def test_noise_free_structure(self):
         cfg = small_cfg(noise_sigma=0.0)
         views, manifest = generate(cfg)
         by_building = {}
-        for row, rec in enumerate(manifest):
-            by_building.setdefault(rec.building_id, []).append(row)
+        for row, bid in enumerate(manifest.building_ids):
+            by_building.setdefault(bid, []).append(row)
         for rows in by_building.values():
             sat = next(r for r in rows if views.kinds[r] == binio.KIND_SAT_CODE)
             latent = views.vectors[sat, :cfg.latent_dim]
@@ -79,7 +80,7 @@ class TestGenerate:
         views, manifest = generate(small_cfg(fail_prob=1.0))
         assert views.masked[drone_rows(views)].all()
         labels = generate_labels(manifest, LabelConfig(8))
-        assert all(lab.masked for lab in labels)
+        assert (labels.bin == MASKED_BIN).all() and np.isnan(labels.azimuth_deg).all()
 
     def test_mask_count_default_dataset(self):
         # binomial(2000, 0.1): 140-260 is a 4.5-sigma window; the seeded run
@@ -93,18 +94,19 @@ class TestGenerate:
     def test_manifest_reproduces_bins(self, seed):
         cfg = small_cfg(seed=seed, noise_sigma=0.7, fail_prob=0.2)
         views, manifest = generate(cfg)
-        labels = {lab.view_id: lab for lab in generate_labels(manifest, LabelConfig(cfg.bins))}
+        labels = generate_labels(manifest, LabelConfig(cfg.bins))
+        at = {view_id: i for i, view_id in enumerate(labels.view_ids)}
         for row in drone_rows(views):
-            lab = labels[views.ids[row]]
-            assert lab.masked == views.masked[row]
+            i = at[views.ids[row]]
+            assert (labels.bin[i] == MASKED_BIN) == views.masked[row]
             if not views.masked[row]:
-                assert lab.azimuth_deg == views.azimuths[row]  # exact, not approx
-                assert lab.bin == bin_of(views.azimuths[row], LabelConfig(cfg.bins))
+                assert labels.azimuth_deg[i] == views.azimuths[row]  # exact, not approx
+                assert labels.bin[i] == bin_of(views.azimuths[row], LabelConfig(cfg.bins))
 
     def test_determinism_and_seed_sensitivity(self):
         a1, m1 = generate(small_cfg())
         a2, m2 = generate(small_cfg())
-        assert m1 == m2
+        assert records_of(m1) == records_of(m2)
         assert a1.ids == a2.ids and np.array_equal(a1.vectors, a2.vectors)
         b, _ = generate(small_cfg(seed=12))
         assert not np.array_equal(a1.vectors[0], b.vectors[0])
@@ -170,8 +172,10 @@ class TestDatasetViews:
         views, manifest = generate(small_cfg())
         path = tmp_path / "f.bin"
         binio.write_features(path, *views)
+        no_rows = manifest._replace(view_ids=[], building_ids=[], is_sat=manifest.is_sat[:0],
+                                    xyz=manifest.xyz[:0], ok=manifest.ok[:0])
         with pytest.raises(DataError, match="missing from manifest"):
-            CrossViewDataset.load(path, [], 8)
+            CrossViewDataset.load(path, no_rows, 8)
 
     @pytest.mark.parametrize("dim", [0, 1, 2])
     def test_no_latent_block_rejected(self, dim):
@@ -179,6 +183,24 @@ class TestDatasetViews:
         views = views._replace(vectors=views.vectors[:, :dim])
         with pytest.raises(DataError, match=f"have {dim} columns"):
             CrossViewDataset(views, manifest, 8)
+
+    @pytest.mark.parametrize("unlisted,moved,message", [
+        ("b0001_sat", "b0003_d01", "drone 'b0001_d00': no satellite for building 'b0001'"),
+        ("b0004_sat", "b0002_d00", "drone 'b0002_d00' missing from manifest"),
+    ])
+    def test_first_faulty_drone_in_view_order_is_reported(self, unlisted, moved, message):
+        # a view set without one satellite, and a manifest in which one drone
+        # view is the satellite of a building of its own
+        views, manifest = generate(small_cfg())
+        row = manifest.view_ids.index(moved)
+        is_sat = manifest.is_sat.copy()
+        is_sat[row] = True
+        manifest = manifest._replace(is_sat=is_sat, building_ids=[
+            "b9999" if r == row else bid for r, bid in enumerate(manifest.building_ids)])
+        views = take(views, [r for r, view_id in enumerate(views.ids) if view_id != unlisted])
+        with pytest.raises(DataError) as err:
+            CrossViewDataset(views, manifest, 8)
+        assert str(err.value) == message
 
     def test_relevance_maps(self):
         _, manifest = generate(small_cfg(n_buildings=2, views_per_building=3))
@@ -215,7 +237,7 @@ class TestMatchesObjectForms:
             cfg = small_cfg(seed=seed, noise_sigma=0.7, fail_prob=fail_prob, bins=bins)
             views, manifest = generate(cfg)
             feats, ref_manifest = generate_objects(cfg)
-            assert manifest == ref_manifest
+            assert records_of(manifest) == ref_manifest
             assert views.ids == [f.view_id for f in feats]
             assert np.array_equal(views.vectors, np.stack([f.input_vector for f in feats]))
             assert np.array_equal(views.azimuths, [f.angle_deg for f in feats])
@@ -228,23 +250,22 @@ class TestMatchesObjectForms:
             save_features(feats, ref_path)
             assert path.read_bytes() == ref_path.read_bytes()
             _assert_same_dataset(CrossViewDataset.load(path, manifest, bins),
-                                 ObjectDataset.load(path, manifest, bins))
+                                 ObjectDataset.load(path, ref_manifest, bins))
 
     def test_manifest_is_the_only_labelling_authority(self, tmp_path):
         cfg = small_cfg(seed=3, fail_prob=0.3)
         views, manifest = generate(cfg)
         # the views' own mask and azimuth columns disagree with the manifest
         views = views._replace(masked=~views.masked, azimuths=np.full(len(views.ids), 123.0))
-        manifest = [dataclasses.replace(rec, status="failed")
-                    if row % 3 == 1 and rec.kind == "drone" else rec
-                    for row, rec in enumerate(manifest)]
+        flip = (np.arange(len(manifest.view_ids)) % 3 == 1) & ~manifest.is_sat
+        manifest = manifest._replace(ok=manifest.ok & ~flip)
         path = tmp_path / "f.bin"
         binio.write_features(path, *views)
         loaded = CrossViewDataset.load(path, manifest, cfg.bins)
-        _assert_same_dataset(loaded, ObjectDataset.load(path, manifest, cfg.bins))
+        _assert_same_dataset(loaded, ObjectDataset.load(path, records_of(manifest), cfg.bins))
         in_memory = CrossViewDataset(views, manifest, cfg.bins)
         labels = generate_labels(manifest, LabelConfig(cfg.bins))
-        assert in_memory.drone_masked.tolist() == [lab.masked for lab in labels]
+        assert np.array_equal(in_memory.drone_masked, labels.bin == MASKED_BIN)
         assert np.array_equal(in_memory.drone_bins, loaded.drone_bins)
         assert np.array_equal(in_memory.drone_azimuth_deg, loaded.drone_azimuth_deg)
 
@@ -415,10 +436,10 @@ def _uneven_dataset(seed, max_views, fail_prob=0.3, bins=8):
     views, manifest = generate(cfg)
     keep = np.random.default_rng(seed).integers(1, max_views + 1, size=cfg.n_buildings)
     kept, seen = [], {}
-    for row, rec in enumerate(manifest):
-        if rec.kind == "drone":
-            seen[rec.building_id] = seen.get(rec.building_id, 0) + 1
-            if seen[rec.building_id] > keep[int(rec.building_id[1:])]:
+    for row, (bid, is_sat) in enumerate(zip(manifest.building_ids, manifest.is_sat)):
+        if not is_sat:
+            seen[bid] = seen.get(bid, 0) + 1
+            if seen[bid] > keep[int(bid[1:])]:
                 continue
         kept.append(row)
     return CrossViewDataset(take(views, kept), manifest, bins)

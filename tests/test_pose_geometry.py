@@ -1,26 +1,46 @@
 """Azimuth convention, binning, label rotation, and manifest/label I/O."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
 
-from skyalign.errors import DegenerateAzimuth, ManifestError
+from skyalign.dataset import GenConfig, generate
+from skyalign.errors import ManifestError
 from skyalign.pose_geometry import (
+    DEGENERATE_SQ_M2,
+    LABEL_HEADER,
+    MASKED_BIN,
     LabelConfig,
-    OrientationLabel,
-    PoseRecord,
+    Labels,
     bin_of,
     generate_labels,
-    read_labels,
     read_manifest,
     relative_azimuth,
     rotate_label,
     write_labels,
     write_manifest,
 )
+from oracles import (
+    DegenerateAzimuth,
+    PoseRecord,
+    label_records,
+    manifest_of,
+    record_bin_of,
+    record_generate_labels,
+    record_relative_azimuth,
+    record_write_labels,
+    record_write_manifest,
+    records_of,
+)
 
 ORIGIN = (0.0, 0.0, 0.0)
+
+
+def _az(sat, drone):
+    """relative_azimuth of one satellite and drone position."""
+    return relative_azimuth(np.array([sat], dtype=float), np.array([drone], dtype=float))[0]
 
 
 class TestRelativeAzimuth:
@@ -33,36 +53,33 @@ class TestRelativeAzimuth:
         ((-3.0, 3.0), 315.0),
     ])
     def test_cardinal_and_diagonal(self, offset, expected):
-        az = relative_azimuth(ORIGIN, (offset[0], offset[1], 50.0))
+        az = _az(ORIGIN, (offset[0], offset[1], 50.0))
         assert az == pytest.approx(expected, abs=1e-12)
 
     def test_altitude_ignored(self):
-        low = relative_azimuth(ORIGIN, (7.0, 3.0, 0.0))
-        high = relative_azimuth(ORIGIN, (7.0, 3.0, 999.0))
+        low = _az(ORIGIN, (7.0, 3.0, 0.0))
+        high = _az(ORIGIN, (7.0, 3.0, 999.0))
         assert low == high
 
     def test_translation_invariance(self):
-        base = relative_azimuth(ORIGIN, (4.0, -9.0, 10.0))
-        shifted = relative_azimuth((100.0, 200.0, 5.0), (104.0, 191.0, 15.0))
+        base = _az(ORIGIN, (4.0, -9.0, 10.0))
+        shifted = _az((100.0, 200.0, 5.0), (104.0, 191.0, 15.0))
         assert shifted == pytest.approx(base, abs=1e-9)
 
     def test_range_half_open(self):
         rng = np.random.default_rng(7)
-        for _ in range(500):
-            dx, dy = rng.uniform(-50, 50, size=2)
-            if dx * dx + dy * dy < 1e-10:
-                continue
-            az = relative_azimuth(ORIGIN, (dx, dy, 0.0))
-            assert 0.0 <= az < 360.0
+        offsets = rng.uniform(-50, 50, size=(500, 2))
+        offsets = offsets[(offsets ** 2).sum(axis=1) >= 1e-10]
+        drones = np.column_stack([offsets, np.zeros(len(offsets))])
+        az = relative_azimuth(np.zeros_like(drones), drones)
+        assert ((0.0 <= az) & (az < 360.0)).all()
 
     def test_degenerate_overhead(self):
-        with pytest.raises(DegenerateAzimuth):
-            relative_azimuth(ORIGIN, (0.0, 0.0, 120.0))
-        with pytest.raises(DegenerateAzimuth):
-            relative_azimuth(ORIGIN, (1e-8, -1e-8, 50.0))
+        assert math.isnan(_az(ORIGIN, (0.0, 0.0, 120.0)))
+        assert math.isnan(_az(ORIGIN, (1e-8, -1e-8, 50.0)))
 
     def test_just_above_threshold_ok(self):
-        az = relative_azimuth(ORIGIN, (2e-6, 0.0, 50.0))
+        az = _az(ORIGIN, (2e-6, 0.0, 50.0))
         assert az == pytest.approx(90.0)
 
 
@@ -121,84 +138,180 @@ class TestBinning:
                 assert bin_of(shifted, cfg) == rotate_label(base, k, cfg)
 
 
-def _manifest_two_buildings():
-    return [
-        PoseRecord("s0", "b0", "sat", (0.0, 0.0, 0.0), "ok"),
-        PoseRecord("d0", "b0", "drone", (10.0, 0.0, 50.0), "ok"),
-        PoseRecord("d1", "b0", "drone", (0.0, -10.0, 50.0), "failed"),
-        PoseRecord("s1", "b1", "sat", (1000.0, 0.0, 0.0), "ok"),
-        PoseRecord("d2", "b1", "drone", (1000.0, 25.0, 50.0), "ok"),
-    ]
+def _manifest(*rows):
+    """A Manifest from (view_id, building_id, kind, (x, y, z), status) rows."""
+    return manifest_of(PoseRecord(*row) for row in rows)
+
+
+TWO_BUILDINGS = [
+    ("s0", "b0", "sat", (0.0, 0.0, 0.0), "ok"),
+    ("d0", "b0", "drone", (10.0, 0.0, 50.0), "ok"),
+    ("d1", "b0", "drone", (0.0, -10.0, 50.0), "failed"),
+    ("s1", "b1", "sat", (1000.0, 0.0, 0.0), "ok"),
+    ("d2", "b1", "drone", (1000.0, 25.0, 50.0), "ok"),
+]
 
 
 class TestGenerateLabels:
     def test_labels_in_manifest_order(self):
-        labels = generate_labels(_manifest_two_buildings(), LabelConfig(4))
-        assert [lab.view_id for lab in labels] == ["d0", "d1", "d2"]
-        assert labels[0].azimuth_deg == pytest.approx(90.0)
-        assert labels[0].bin == 1
-        assert labels[1].masked and labels[1].azimuth_deg is None and labels[1].bin is None
-        assert labels[2].bin == 0 and not labels[2].masked
+        labels = generate_labels(_manifest(*TWO_BUILDINGS), LabelConfig(4))
+        assert labels.view_ids == ["d0", "d1", "d2"]
+        assert labels.building_ids == ["b0", "b0", "b1"]
+        assert labels.azimuth_deg[0] == pytest.approx(90.0)
+        assert labels.bin[0] == 1
+        assert labels.bin[1] == MASKED_BIN and math.isnan(labels.azimuth_deg[1])
+        assert labels.bin[2] == 0 and labels.azimuth_deg[2] == 0.0
 
     def test_degenerate_geometry_masks(self):
-        manifest = [
-            PoseRecord("s0", "b0", "sat", (0.0, 0.0, 0.0), "ok"),
-            PoseRecord("d0", "b0", "drone", (0.0, 0.0, 80.0), "ok"),
-            PoseRecord("s1", "b1", "sat", (5.0, 5.0, 0.0), "ok"),
-            PoseRecord("d1", "b1", "drone", (5.0, 6.0, 80.0), "ok"),
-        ]
+        manifest = _manifest(
+            ("s0", "b0", "sat", (0.0, 0.0, 0.0), "ok"),
+            ("d0", "b0", "drone", (0.0, 0.0, 80.0), "ok"),
+            ("s1", "b1", "sat", (5.0, 5.0, 0.0), "ok"),
+            ("d1", "b1", "drone", (5.0, 6.0, 80.0), "ok"),
+        )
         labels = generate_labels(manifest, LabelConfig(8))
-        assert labels[0].masked
-        assert not labels[1].masked
+        assert labels.bin.tolist() == [MASKED_BIN, 0]
+        assert math.isnan(labels.azimuth_deg[0]) and labels.azimuth_deg[1] == 0.0
 
     def test_duplicate_view_id_rejected(self):
-        manifest = _manifest_two_buildings()
-        manifest.append(PoseRecord("d0", "b1", "drone", (1.0, 1.0, 1.0), "ok"))
+        manifest = _manifest(*TWO_BUILDINGS, ("d0", "b1", "drone", (1.0, 1.0, 1.0), "ok"))
         with pytest.raises(ManifestError, match="duplicate view_id"):
             generate_labels(manifest, LabelConfig(4))
 
     def test_two_satellites_rejected(self):
-        manifest = _manifest_two_buildings()
-        manifest.append(PoseRecord("s9", "b0", "sat", (1.0, 1.0, 0.0), "ok"))
+        manifest = _manifest(*TWO_BUILDINGS, ("s9", "b0", "sat", (1.0, 1.0, 0.0), "ok"))
         with pytest.raises(ManifestError, match="more than one satellite"):
             generate_labels(manifest, LabelConfig(4))
 
     def test_missing_satellite_rejected(self):
-        manifest = [PoseRecord("d0", "b7", "drone", (1.0, 1.0, 50.0), "ok")]
+        manifest = _manifest(("d0", "b7", "drone", (1.0, 1.0, 50.0), "ok"))
         with pytest.raises(ManifestError, match="lacks a satellite"):
             generate_labels(manifest, LabelConfig(4))
 
     def test_failed_satellite_rejected(self):
-        manifest = [
-            PoseRecord("s0", "b0", "sat", (0.0, 0.0, 0.0), "failed"),
-            PoseRecord("d0", "b0", "drone", (1.0, 1.0, 50.0), "ok"),
-        ]
+        manifest = _manifest(
+            ("s0", "b0", "sat", (0.0, 0.0, 0.0), "failed"),
+            ("d0", "b0", "drone", (1.0, 1.0, 50.0), "ok"),
+        )
         with pytest.raises(ManifestError):
             generate_labels(manifest, LabelConfig(4))
 
     def test_coarser_bins_relate_by_integer_division(self):
         rng = np.random.default_rng(3)
-        manifest = [PoseRecord("s0", "b0", "sat", (0.0, 0.0, 0.0), "ok")]
+        rows = [("s0", "b0", "sat", (0.0, 0.0, 0.0), "ok")]
         for i in range(64):
             ang = math.radians(rng.uniform(0, 360))
-            manifest.append(PoseRecord(
-                f"d{i}", "b0", "drone",
-                (100 * math.sin(ang), 100 * math.cos(ang), 50.0), "ok"))
-        fine = generate_labels(manifest, LabelConfig(8))
-        coarse = generate_labels(manifest, LabelConfig(4))
-        for f, c in zip(fine, coarse):
-            assert c.bin == f.bin // 2
+            rows.append((f"d{i}", "b0", "drone",
+                         (100 * math.sin(ang), 100 * math.cos(ang), 50.0), "ok"))
+        fine = generate_labels(_manifest(*rows), LabelConfig(8))
+        coarse = generate_labels(_manifest(*rows), LabelConfig(4))
+        assert np.array_equal(coarse.bin, fine.bin // 2)
+
+    @pytest.mark.parametrize("extra", [
+        [("d0", "b1", "drone", (1.0, 1.0, 1.0), "ok"), ("s9", "b0", "sat", ORIGIN, "ok")],
+        [("s9", "b0", "sat", ORIGIN, "ok"), ("d0", "b1", "drone", (1.0, 1.0, 1.0), "ok")],
+        [("s0", "b0", "sat", ORIGIN, "ok")],  # a repeated id that is also a second satellite
+        [("d5", "b7", "drone", ORIGIN, "ok"), ("d0", "b0", "drone", ORIGIN, "ok")],
+        [("d5", "b7", "drone", ORIGIN, "ok"), ("s7", "b7", "sat", ORIGIN, "failed")],
+        [("d5", "b7", "drone", ORIGIN, "ok"), ("d6", "b8", "drone", ORIGIN, "ok")],
+    ], ids=["dup-then-sat", "sat-then-dup", "dup-and-sat", "lacking-then-dup",
+            "failed-sat", "two-lacking"])
+    def test_first_error_matches_record_form(self, extra):
+        records = [PoseRecord(*row) for row in TWO_BUILDINGS + extra]
+        with pytest.raises(ManifestError) as want:
+            record_generate_labels(records, LabelConfig(4))
+        with pytest.raises(ManifestError) as got:
+            generate_labels(manifest_of(records), LabelConfig(4))
+        assert str(got.value) == str(want.value)
+
+
+def _record_azimuths(sat_xyz, drone_xyz) -> list:
+    """record_relative_azimuth row by row, None where it raises."""
+    out = []
+    for sat, drone in zip(sat_xyz.tolist(), drone_xyz.tolist()):
+        try:
+            out.append(record_relative_azimuth(sat, drone))
+        except DegenerateAzimuth:
+            out.append(None)
+    return out
+
+
+def _assert_same_azimuths(sat_xyz, drone_xyz):
+    got = relative_azimuth(sat_xyz, drone_xyz)
+    want = _record_azimuths(sat_xyz, drone_xyz)
+    assert [None if math.isnan(a) else a for a in got.tolist()] == want
+
+
+class TestMatchesRecordForms:
+    """The array labeller equals the scalar, record-by-record forms bit for
+    bit, and the table writers write their bytes."""
+
+    @pytest.mark.parametrize("n_buildings", [200, 1000], ids=["desk", "scale"])
+    @pytest.mark.parametrize("seed", [1, 5, 9])
+    def test_every_generated_drone(self, tmp_path, n_buildings, seed):
+        _, manifest = generate(GenConfig(n_buildings, 10, 32, 0.5, 0.1, seed, 8))
+        records = records_of(manifest)
+        drones = np.flatnonzero(~manifest.is_sat)
+        sat_xyz = manifest.xyz[drones - drones % 11]  # each building's satellite row
+        _assert_same_azimuths(sat_xyz, manifest.xyz[drones])
+        for bins in (5, 8):
+            cfg = LabelConfig(bins)
+            labels = generate_labels(manifest, cfg)
+            want = record_generate_labels(records, cfg)
+            assert label_records(labels) == want
+            record_write_labels(want, tmp_path / "want.csv")
+            write_labels(labels, tmp_path / "got.csv")
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        record_write_manifest(records, tmp_path / "want.csv")
+        write_manifest(manifest, tmp_path / "got.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    # at 11 and 13 bins, floor(a / width) differs from a // width near edges
+    @pytest.mark.parametrize("bins", [2, 3, 5, 7, 8, 11, 12, 13, 16, 32])
+    def test_bin_edge_neighbours(self, bins):
+        cfg = LabelConfig(bins)
+        edges = np.array([k * cfg.bin_width_deg for k in range(bins + 1)]
+                         + [k * 360.0 / bins for k in range(bins + 1)])
+        below, above = np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)
+        angles = np.concatenate([np.nextafter(below, -np.inf), below, edges, above,
+                                 np.nextafter(above, np.inf)])
+        angles = angles[(angles >= 0.0) & (angles < 360.0)]
+        assert bin_of(angles, cfg).tolist() == [record_bin_of(a, cfg) for a in angles.tolist()]
+
+    def test_degenerate_threshold_neighbours(self):
+        edge = math.sqrt(DEGENERATE_SQ_M2)
+        steps = [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]
+        half = math.sqrt(DEGENERATE_SQ_M2 / 2)
+        steps_half = [np.nextafter(half, 0.0), half, np.nextafter(half, np.inf)]
+        offsets = ([(s, 0.0) for s in steps] + [(0.0, -s) for s in steps]
+                   + [(s, s) for s in steps_half] + [(-s, s) for s in steps_half])
+        drones = np.array([(dx, dy, 50.0) for dx, dy in offsets])
+        _assert_same_azimuths(np.zeros_like(drones), drones)
+        got = relative_azimuth(np.zeros_like(drones), drones)
+        assert np.isnan(got).any() and not np.isnan(got).all()
+
+    def test_signed_zero_and_angles_that_round_to_360(self):
+        offsets = [(0.0, 5.0), (-0.0, 5.0), (0.0, -5.0), (-0.0, -5.0),
+                   (-1e-17, 1.0), (-1e-16, 1.0), (-3e-16, 1.0), (-5e-16, 1.0),
+                   (-1e-15, 1.0), (-1e-14, 1.0), (-1e-300, 1.0)]
+        drones = np.array([(dx, dy, 0.0) for dx, dy in offsets])
+        sats = np.array([(0.0, 0.0, 0.0)] * len(offsets))
+        _assert_same_azimuths(sats, drones)
+        got = relative_azimuth(sats, drones)
+        assert got[4] == 0.0 and got[-1] == 0.0  # rounded up to 360, then wrapped
+        assert ((0.0 <= got) & (got < 360.0)).all()
 
 
 class TestManifestIO:
     def test_round_trip_exact(self, tmp_path):
-        manifest = _manifest_two_buildings()
         # throw in a value with an awkward decimal expansion
-        manifest.append(PoseRecord("d9", "b1", "drone", (1000.1, -0.3333333333333333, 12.7), "ok"))
+        records = [PoseRecord(*row) for row in TWO_BUILDINGS]
+        records.append(PoseRecord("d9", "b1", "drone", (1000.1, -0.3333333333333333, 12.7), "ok"))
         path = tmp_path / "m.csv"
-        write_manifest(manifest, path)
+        write_manifest(manifest_of(records), path)
         back = read_manifest(path)
-        assert back == manifest
+        assert records_of(back) == records
+        assert back.xyz.dtype == np.float64 and back.is_sat.dtype == back.ok.dtype == bool
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -244,8 +357,17 @@ class TestManifestIO:
             "s0,b0,sat,0,0,0,ok\n"
             "d0,b0,drone,,,,failed\n"
         )
-        records = read_manifest(path)
-        assert records[1].status == "failed"
+        manifest = read_manifest(path)
+        assert manifest.ok.tolist() == [True, False]
+        assert manifest.xyz[1].tolist() == [0.0, 0.0, 0.0]
+
+    def test_header_only_file_is_an_empty_table(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("view_id,building_id,kind,x,y,z,status\n")
+        manifest = read_manifest(path)
+        assert manifest.view_ids == [] and manifest.xyz.shape == (0, 3)
+        labels = generate_labels(manifest, LabelConfig(8))
+        assert labels.view_ids == [] and labels.bin.shape == (0,)
 
     @pytest.mark.parametrize("status", ["ok", "failed"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -262,17 +384,17 @@ class TestManifestIO:
 
 class TestLabelIO:
     def test_round_trip(self, tmp_path):
-        labels = [
-            OrientationLabel("d0", "b0", 123.456789012345, 2, False),
-            OrientationLabel("d1", "b0", None, None, True),
-        ]
+        labels = Labels(["d0", "d1"], ["b0", "b0"], np.array([123.456789012345, np.nan]),
+                        np.array([2, MASKED_BIN]))
         path = tmp_path / "labels.csv"
         write_labels(labels, path)
-        back = read_labels(path)
-        assert back == labels
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [LABEL_HEADER, ["d0", "b0", "123.456789012345", "2", "false"],
+                        ["d1", "b0", "", "", "true"]]
 
     def test_masked_fields_empty_in_csv(self, tmp_path):
         path = tmp_path / "labels.csv"
-        write_labels([OrientationLabel("d1", "b0", None, None, True)], path)
+        write_labels(Labels(["d1"], ["b0"], np.array([np.nan]), np.array([MASKED_BIN])), path)
         text = path.read_text()
         assert "d1,b0,,,true" in text
