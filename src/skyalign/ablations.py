@@ -1,4 +1,4 @@
-"""Sweep runners: train/evaluate grids over orientation bin counts and
+"""One sweep engine: train/evaluate grids over orientation bin counts or
 embedding dimensions, reporting Drone2Sat retrieval quality per seed.
 
 Each sweep's train-and-score jobs run in worker processes forked from this
@@ -11,7 +11,6 @@ in this process would give."""
 from __future__ import annotations
 
 import contextlib
-import csv
 import ctypes
 import os
 import pickle
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import binio
 from .dataset import CrossViewDataset
-from .errors import WorkerDied
+from .errors import WorkerDied, write_csv
 from .model import ModelParams, encode
 from .objectives import MODE_CLASSIFICATION, MODE_NONE
 from .pose_geometry import Manifest
@@ -166,39 +165,35 @@ def score_jobs(jobs: list[tuple[TrainConfig, CrossViewDataset]]) -> list[dict[st
     return [results[j] for j in range(len(jobs))]
 
 
-def _sweep_rows(key: str, jobs: list[tuple[str | int, TrainConfig, CrossViewDataset]]
-                ) -> list[dict]:
-    """One CSV row per (setting, cfg, dataset) job, in job order."""
+def sweep(features_path, manifest: Manifest, base: TrainConfig, key: str,
+          settings: list, seeds: list[int]) -> list[dict]:
+    """One row per setting and seed, in that order: the Drone2Sat scores of
+    base with key set to the setting and seed to the seed.  key is
+    "embed_dim", or "bins", whose settings are bin counts for classification
+    or BINS_NONE for no orientation loss at base's bin count.  The feature
+    file is read once and one dataset is built per distinct bin count."""
+    if key not in ("bins", "embed_dim"):
+        raise ValueError(f"cannot sweep {key!r}")
+    views = binio.read_features(features_path)
+    datasets: dict[int, CrossViewDataset] = {}
+    jobs = []
+    for setting in settings:
+        if key == "embed_dim":
+            setting = int(setting)
+            cfg = replace(base, embed_dim=setting)
+        elif setting == BINS_NONE:
+            cfg = replace(base, loss=replace(base.loss, orientation_mode=MODE_NONE))
+        else:
+            setting = str(setting)
+            cfg = replace(base, loss=replace(base.loss, orientation_mode=MODE_CLASSIFICATION,
+                                             bins=int(setting)))
+        bins = cfg.loss.bins
+        if bins not in datasets:
+            datasets[bins] = CrossViewDataset(views, manifest, bins)
+        jobs += [(setting, replace(cfg, seed=seed), datasets[bins]) for seed in seeds]
     scores = score_jobs([(cfg, dataset) for _, cfg, dataset in jobs])
     return [{key: setting, "seed": cfg.seed, "recall_at_1": s["recall@1"], "ap": s["ap"]}
             for (setting, cfg, _), s in zip(jobs, scores)]
-
-
-def ablate_bins(features_path, manifest: Manifest, base: TrainConfig,
-                bins_list: list, seeds: list[int]) -> list[dict]:
-    """Sweep orientation supervision: integer bin counts, or "none" for the
-    contrastive-only baseline.  The feature file is read once and the
-    dataset re-binned per setting."""
-    views = binio.read_features(features_path)
-    jobs = []
-    for setting in bins_list:
-        if setting == BINS_NONE:
-            dataset = CrossViewDataset(views, manifest, base.loss.bins)
-            loss = replace(base.loss, orientation_mode=MODE_NONE)
-        else:
-            bins = int(setting)
-            dataset = CrossViewDataset(views, manifest, bins)
-            loss = replace(base.loss, orientation_mode=MODE_CLASSIFICATION, bins=bins)
-        jobs += [(str(setting), replace(base, seed=seed, loss=loss), dataset) for seed in seeds]
-    return _sweep_rows("bins", jobs)
-
-
-def ablate_dim(features_path, manifest: Manifest, base: TrainConfig,
-               dims: list[int], seeds: list[int]) -> list[dict]:
-    """Sweep the embedding width on a fixed dataset."""
-    dataset = CrossViewDataset.load(features_path, manifest, base.loss.bins)
-    return _sweep_rows("embed_dim", [(int(dim), replace(base, seed=seed, embed_dim=int(dim)),
-                                      dataset) for dim in dims for seed in seeds])
 
 
 def summarize(rows: list[dict], group_key: str) -> dict:
@@ -210,8 +205,4 @@ def summarize(rows: list[dict], group_key: str) -> dict:
 
 
 def write_sweep_csv(rows: list[dict], fieldnames: list[str], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    write_csv(path, fieldnames, ([row[name] for name in fieldnames] for row in rows))

@@ -3,8 +3,9 @@
 Subcommands cover the full pipeline: synthesize data, derive pseudo-labels,
 train, embed, evaluate, ensemble, and run the two ablation sweeps.  Exit
 codes: 0 success, 2 usage or config problem, 3 data problem, 4 numeric
-failure.  A file that cannot be opened, read or written (an OSError) also
-exits 3, with the one line ``io error: <strerror>: <filename>``.
+failure or out of memory.  A file that cannot be opened, read or written
+(an OSError) also exits 3, with the one line
+``io error: <strerror>: <filename>``.
 """
 
 from __future__ import annotations
@@ -206,19 +207,27 @@ def _checked_output(path):
         raise
 
 
-def _run_sweep(args, key: str, parse_settings, sweep) -> None:
-    """Read a sweep's inputs, then parse_settings(), run sweep over them and
-    write its CSV, with key as the settings column, and print each
+def _settings(values: list, flag: str, what: str) -> list:
+    """values, which must hold at least one value and repeat none."""
+    if not values:
+        raise ConfigError(f"need at least one {what}")
+    repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"{flag} repeats {repeated}")
+    return values
+
+
+def _run_sweep(args, key: str, flag: str, what: str, parse_settings) -> None:
+    """Read a sweep's inputs, then parse_settings(), run ablations.sweep over
+    them and write its CSV, with key as the settings column, and print each
     setting's mean R@1."""
-    cfg = configio.load_train_config(_require_file(args.config), {"seed": args.seed})
+    cfg = configio.load_train_config(_require_file(args.config))
     features_path = _require_file(os.path.join(args.data, FEATURES_NAME))
     manifest = read_manifest(_require_file(os.path.join(args.data, MANIFEST_NAME)))
-    seeds = _int_list(args.seeds, "--seeds", 0)
-    if not seeds:
-        raise ConfigError("need at least one seed")
-    settings = parse_settings()
+    seeds = _settings(_int_list(args.seeds, "--seeds", 0), "--seeds", "seed")
+    settings = _settings(parse_settings(), flag, what)
     with _checked_output(args.out):
-        rows = sweep(features_path, manifest, cfg, settings, seeds)
+        rows = ablations.sweep(features_path, manifest, cfg, key, settings, seeds)
         ablations.write_sweep_csv(rows, [key, "seed", "recall_at_1", "ap"], args.out)
     for setting, mean in ablations.summarize(rows, key).items():
         print(f"{key}={setting}: mean R@1 = {mean:.4f}")
@@ -226,75 +235,55 @@ def _run_sweep(args, key: str, parse_settings, sweep) -> None:
 
 
 def cmd_ablate_bins(args) -> None:
-    def settings() -> list:
-        bins_list: list = []
-        for tok in args.bins.split(","):
-            tok = tok.strip()
-            if not tok:
-                continue
-            if tok == ablations.BINS_NONE:
-                bins_list.append(tok)
-            else:
-                try:
-                    bins = int(tok)
-                except ValueError:
-                    raise ConfigError(f"bad bins entry {tok!r}") from None
-                bins_list.append(_bin_count(bins))
-        if not bins_list:
-            raise ConfigError("need at least one bins setting")
-        return bins_list
-    _run_sweep(args, "bins", settings, ablations.ablate_bins)
+    def bins_list() -> list:
+        bins: list = []
+        for tok in filter(None, map(str.strip, args.bins.split(","))):
+            try:
+                bins.append(tok if tok == ablations.BINS_NONE else _bin_count(int(tok)))
+            except ValueError:
+                raise ConfigError(f"bad bins entry {tok!r}") from None
+        return bins
+    _run_sweep(args, "bins", "--bins", "bins setting", bins_list)
 
 
 def cmd_ablate_dim(args) -> None:
-    def settings() -> list[int]:
-        dims = _int_list(args.dims, "--dims", 1)
-        if not dims:
-            raise ConfigError("need at least one dim")
-        return dims
-    _run_sweep(args, "embed_dim", settings, ablations.ablate_dim)
+    _run_sweep(args, "embed_dim", "--dims", "dim", lambda: _int_list(args.dims, "--dims", 1))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
-
     parser = argparse.ArgumentParser(
         prog="skyalign",
         description="orientation-guided cross-view matching experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", parents=[shared],
-                       help="synthesize features, poses, and relevance files")
+    p = sub.add_parser("gen-data", help="synthesize features, poses, and relevance files")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("gen-labels", parents=[shared],
-                       help="orientation pseudo-labels from a pose manifest")
+    p = sub.add_parser("gen-labels", help="orientation pseudo-labels from a pose manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--bins", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_labels)
 
-    p = sub.add_parser("train", parents=[shared], help="train a model")
+    p = sub.add_parser("train", help="train a model")
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("embed", parents=[shared],
-                       help="encode a feature file into embeddings")
+    p = sub.add_parser("embed", help="encode a feature file into embeddings")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--kind", choices=["all", "sat", "drone"], default="all")
     p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("eval", parents=[shared],
-                       help="Recall@K and mean AP for a query set")
+    p = sub.add_parser("eval", help="Recall@K and mean AP for a query set")
     p.add_argument("--gallery", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--relevance", required=True)
@@ -306,8 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the dense score table for ensembling")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ensemble", parents=[shared],
-                       help="fuse score tables and re-evaluate")
+    p = sub.add_parser("ensemble", help="fuse score tables and re-evaluate")
     p.add_argument("--scores", nargs="+", required=True)
     p.add_argument("--weights", default=None)
     p.add_argument("--relevance", required=True)
@@ -317,8 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default=FUSION_SCORE_MEAN)
     p.set_defaults(func=cmd_ensemble)
 
-    p = sub.add_parser("ablate-bins", parents=[shared],
-                       help="sweep orientation bin counts (and none)")
+    # the sweeps match no flag prefixes, so that a --seed is refused, not taken as --seeds
+    p = sub.add_parser("ablate-bins", help="sweep orientation bin counts (and none)",
+                       allow_abbrev=False)
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
@@ -326,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0,1,2,3,4")
     p.set_defaults(func=cmd_ablate_bins)
 
-    p = sub.add_parser("ablate-dim", parents=[shared],
-                       help="sweep embedding dimension")
+    p = sub.add_parser("ablate-dim", help="sweep embedding dimension", allow_abbrev=False)
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
@@ -354,6 +342,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc.strerror or exc}: {exc.filename}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"memory error: {exc}", file=sys.stderr)
+        return 4
     return 0
 
 

@@ -1,9 +1,10 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the CSV text files' one dialect.
 
 Three broad families map onto CLI exit codes: ConfigError -> 2,
 DataError -> 3, NumericError -> 4.
 """
 
+import csv
 from contextlib import contextmanager
 
 
@@ -76,3 +77,13 @@ def open_text(path, error=DataError):
             yield fh
     except UnicodeDecodeError:
         raise error(f"{path}: not UTF-8 text") from None
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header row, then rows, as UTF-8 csv in the excel dialect that
+    open_text's readers take: fields quoted as needed, each row ending in
+    \r\n."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

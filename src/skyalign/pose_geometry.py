@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ManifestError, open_text
+from .errors import ManifestError, open_text, write_csv
 
 KIND_SAT = "sat"
 KIND_DRONE = "drone"
@@ -199,21 +199,16 @@ def write_manifest(manifest: Manifest, path) -> None:
     kinds = np.where(manifest.is_sat, KIND_SAT, KIND_DRONE).tolist()
     statuses = np.where(manifest.ok, STATUS_OK, STATUS_FAILED).tolist()
     x, y, z = (map(repr, col) for col in manifest.xyz.T.tolist())
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_HEADER)
-        writer.writerows(zip(manifest.view_ids, manifest.building_ids, kinds, x, y, z, statuses))
+    write_csv(path, MANIFEST_HEADER,
+              zip(manifest.view_ids, manifest.building_ids, kinds, x, y, z, statuses))
 
 
 def write_labels(labels: Labels, path) -> None:
     """Write a label table CSV; masked rows leave azimuth and bin empty."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LABEL_HEADER)
-        writer.writerows(
-            [view_id, building_id, "", "", "true"] if bin_ == MASKED_BIN
-            else [view_id, building_id, repr(azimuth), bin_, "false"]
-            for view_id, building_id, azimuth, bin_ in zip(
-                labels.view_ids, labels.building_ids, labels.azimuth_deg.tolist(),
-                labels.bin.tolist())
-        )
+    write_csv(path, LABEL_HEADER, (
+        [view_id, building_id, "", "", "true"] if bin_ == MASKED_BIN
+        else [view_id, building_id, repr(azimuth), bin_, "false"]
+        for view_id, building_id, azimuth, bin_ in zip(
+            labels.view_ids, labels.building_ids, labels.azimuth_deg.tolist(),
+            labels.bin.tolist())
+    ))

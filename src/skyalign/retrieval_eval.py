@@ -81,6 +81,7 @@ from .errors import (
     NormDegenerate,
     UnknownQuery,
     open_text,
+    write_csv,
 )
 
 DEFAULT_GALLERY_BLOCK = 8192
@@ -467,12 +468,8 @@ def read_relevance(path) -> dict[str, set[str]]:
 
 
 def write_relevance(rel: dict[str, set[str]], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["query_id", "gallery_id"])
-        for qid in sorted(rel):
-            for gid in sorted(rel[qid]):
-                writer.writerow([qid, gid])
+    write_csv(path, ["query_id", "gallery_id"],
+              ([qid, gid] for qid in sorted(rel) for gid in sorted(rel[qid])))
 
 
 def metrics_from_rankings(rankings: list[RankedList], relevance: dict[str, set[str]],
@@ -596,8 +593,5 @@ def evaluate(queries: EmbeddingSet, gallery: EmbeddingSet,
 
 
 def write_metrics(rows: list[tuple[str, str, float]], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "k", "value"])
-        for metric, k, value in rows:
-            writer.writerow([metric, k, repr(float(value))])
+    write_csv(path, ["metric", "k", "value"],
+              ([metric, k, repr(float(value))] for metric, k, value in rows))

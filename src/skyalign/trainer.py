@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import BatchSampler, CrossViewDataset, apply_aligned_rotation
-from .errors import NonFiniteLoss
+from .errors import NonFiniteLoss, write_csv
 from .model import ModelParams, forward_backward, init
 from .objectives import MODE_REGRESSION, LossConfig
 from .pose_geometry import LabelConfig
@@ -159,14 +159,9 @@ def train(cfg: TrainConfig, dataset: CrossViewDataset) -> tuple[ModelParams, lis
 
 
 def write_train_log(rows: list[TrainLogRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAIN_LOG_HEADER)
-        for r in rows:
-            writer.writerow(
-                [r.step, repr(r.lr), repr(r.loss_total), repr(r.loss_contrastive),
-                 repr(r.loss_orientation)]
-            )
+    write_csv(path, TRAIN_LOG_HEADER, (
+        [r.step, repr(r.lr), repr(r.loss_total), repr(r.loss_contrastive),
+         repr(r.loss_orientation)] for r in rows))
 
 
 def read_train_log(path) -> list[TrainLogRow]:

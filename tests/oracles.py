@@ -12,8 +12,10 @@ score-table save are those for the streaming evaluate and the joined-row
 ScoreTable.save; the per-field gradient assembly and AdamW are those for
 the flat parameter vector; and the record-by-record FEA1/EMB1 readers and
 writers and the per-pair rank count are those for binio's table-at-a-time
-I/O and retrieval_eval's sorted-row ranks; the in-process sweep loops at
-the end are those for the sweeps' worker processes.
+I/O and retrieval_eval's sorted-row ranks; the in-process sweep loops are
+those for the sweep engine and its worker processes; and the per-writer
+csv.writer code at the end is the byte reference for the CSV writers that
+share errors.write_csv.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ from skyalign.pose_geometry import (
     rotate_label,
 )
 from skyalign.retrieval_eval import _block_candidates, _id_ordered, _merge, score_table
+from skyalign.trainer import TRAIN_LOG_HEADER
 
 
 def softmax_row(row):
@@ -1068,3 +1071,43 @@ def loop_ablate_dim(features_path, manifest: Manifest, base,
             rows.append({"embed_dim": int(dim), "seed": seed,
                          "recall_at_1": scores["recall@1"], "ap": scores["ap"]})
     return rows
+
+
+# --- the CSV writers as they were before they shared errors.write_csv: each
+# opened its file and drove its own csv.writer (csv.DictWriter for sweeps).
+# The bodies are the earlier package code.
+
+def own_writer_relevance(rel: dict[str, set[str]], path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["query_id", "gallery_id"])
+        for qid in sorted(rel):
+            for gid in sorted(rel[qid]):
+                writer.writerow([qid, gid])
+
+
+def own_writer_metrics(rows: list[tuple[str, str, float]], path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["metric", "k", "value"])
+        for metric, k, value in rows:
+            writer.writerow([metric, k, repr(float(value))])
+
+
+def own_writer_train_log(rows, path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRAIN_LOG_HEADER)
+        for r in rows:
+            writer.writerow(
+                [r.step, repr(r.lr), repr(r.loss_total), repr(r.loss_contrastive),
+                 repr(r.loss_orientation)]
+            )
+
+
+def own_writer_sweep_csv(rows: list[dict], fieldnames: list[str], path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        for row in rows:
+            writer.writerow(row)

@@ -1,7 +1,8 @@
-"""The sweeps' forked worker processes: the rows of training each job in turn
-in this process, whatever the worker count; a sweep started from a process
-that found skyalign only through sys.path; one OpenBLAS thread per worker;
-and every way a worker or its job can fail, with no worker left behind."""
+"""The sweep engine and its forked worker processes: the rows of training
+each job in turn in this process, whatever the worker count, with one
+dataset per distinct bin count; a sweep started from a process that found
+skyalign only through sys.path; one OpenBLAS thread per worker; and every
+way a worker or its job can fail, with no worker left behind."""
 
 import ctypes
 import os
@@ -55,16 +56,72 @@ def use_cpus(monkeypatch, n):
 def test_worker_rows_equal_in_process_loop(data, tmp_path, monkeypatch, cpus, sweep,
                                            settings, seeds):
     use_cpus(monkeypatch, cpus)
-    run, loop = {"bins": (ablations.ablate_bins, loop_ablate_bins),
-                 "dim": (ablations.ablate_dim, loop_ablate_dim)}[sweep]
-    args = (data["features"], data["manifest"], data["cfg"], settings, seeds)
-    rows, want = run(*args), loop(*args)
+    key, loop = {"bins": ("bins", loop_ablate_bins), "dim": ("embed_dim", loop_ablate_dim)}[sweep]
+    args = (data["features"], data["manifest"], data["cfg"])
+    rows, want = ablations.sweep(*args, key, settings, seeds), loop(*args, settings, seeds)
     assert rows == want  # float == float: the same bits, NaN aside
     assert all(np.isfinite([r["recall_at_1"], r["ap"]]).all() for r in rows)
     fields = list(want[0])
     ablations.write_sweep_csv(rows, fields, tmp_path / "workers.csv")
     ablations.write_sweep_csv(want, fields, tmp_path / "loop.csv")
     assert (tmp_path / "workers.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+
+def test_base_bin_count_and_none_equal_the_loop(data, monkeypatch):
+    # "8" is the base bin count, so "8" and "none" train on one dataset
+    use_cpus(monkeypatch, 2)
+    args = (data["features"], data["manifest"], data["cfg"])
+    settings = [8, "none", 4]
+    assert (ablations.sweep(*args, "bins", settings, [0, 1])
+            == loop_ablate_bins(*args, settings, [0, 1]))
+
+
+@pytest.mark.parametrize("key,settings,built", [
+    ("bins", [4, 8, "none", 16], [4, 8, 16]),
+    ("bins", ["none", 8], [8]),
+    ("bins", ["none", 4], [8, 4]),
+    ("embed_dim", [8, 64, 16], [8]),
+])
+def test_one_dataset_per_distinct_bin_count(data, monkeypatch, key, settings, built):
+    bins_built, reads, jobs_run = [], [], []
+
+    class Counted(CrossViewDataset):
+        def __init__(self, views, manifest, bins):
+            bins_built.append(bins)
+            super().__init__(views, manifest, bins)
+            self.bins = bins
+
+    def read_features(path):
+        reads.append(path)
+        return read(path)
+
+    def scored(jobs):
+        jobs_run.extend(jobs)
+        return [{"recall@1": 0.0, "ap": 0.0}] * len(jobs)
+
+    read = ablations.binio.read_features
+    monkeypatch.setattr(ablations, "CrossViewDataset", Counted)
+    monkeypatch.setattr(ablations.binio, "read_features", read_features)
+    monkeypatch.setattr(ablations, "score_jobs", scored)
+    rows = ablations.sweep(data["features"], data["manifest"], data["cfg"], key, settings, [0, 1])
+    assert bins_built == built and reads == [data["features"]]
+    assert [(row[key], row["seed"]) for row in rows] == [
+        (str(s) if key == "bins" else s, seed) for s in settings for seed in (0, 1)]
+    datasets = {id(dataset): dataset for _, dataset in jobs_run}
+    assert sorted(d.bins for d in datasets.values()) == sorted(built)
+    for (cfg, dataset), row in zip(jobs_run, rows):
+        assert cfg.seed == row["seed"] and cfg.loss.bins == dataset.bins
+        if key == "embed_dim":
+            assert (cfg.embed_dim, cfg.loss) == (row[key], data["cfg"].loss)
+        elif row[key] == "none":
+            assert (cfg.loss.orientation_mode, cfg.loss.bins) == ("none", data["cfg"].loss.bins)
+        else:
+            assert (cfg.loss.orientation_mode, cfg.loss.bins) == ("classification", int(row[key]))
+
+
+def test_sweep_of_another_key_is_refused(data):
+    with pytest.raises(ValueError, match="cannot sweep 'peak_lr'"):
+        ablations.sweep(data["features"], data["manifest"], data["cfg"], "peak_lr", [0.1], [0])
 
 
 def test_sweep_from_a_process_that_found_skyalign_on_sys_path(data, tmp_path):
@@ -250,8 +307,9 @@ def test_without_a_blas_setter_one_worker_gives_the_loop_rows(data, monkeypatch)
     use_cpus(monkeypatch, 4)
     monkeypatch.setattr(ablations, "blas_thread_setter", lambda: None)
     monkeypatch.setattr(os, "fork", counted_fork)
-    args = (data["features"], data["manifest"], data["cfg"], [8, 16], [0, 1])
-    assert ablations.ablate_dim(*args) == loop_ablate_dim(*args)
+    args = (data["features"], data["manifest"], data["cfg"])
+    assert (ablations.sweep(*args, "embed_dim", [8, 16], [0, 1])
+            == loop_ablate_dim(*args, [8, 16], [0, 1]))
     assert len(forks) == 1
 
 

@@ -125,6 +125,50 @@ def test_benchmark_tracer_resolves_every_target():
 
 
 class TestUsageAndExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["gen-labels", "--manifest", "m.csv", "--bins", "8", "--out", "l.csv"],
+        ["embed", "--checkpoint", "c.ckpt", "--features", "f.bin", "--out", "e.bin"],
+        ["eval", "--gallery", "g.bin", "--queries", "q.bin", "--relevance", "r.csv",
+         "--out", "m.csv"],
+        ["ensemble", "--scores", "a.csv", "b.csv", "--relevance", "r.csv", "--out", "m.csv"],
+        ["ablate-bins", "--config", "t.cfg", "--data", "d", "--out", "s.csv"],
+        ["ablate-dim", "--config", "t.cfg", "--data", "d", "--out", "s.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_seed_is_unknown_outside_gen_data_and_train(self, tmp_path, monkeypatch, capsys,
+                                                        argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: --seed 1\n")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv,stage", [
+        (["gen-data", "--config", "{gen}", "--out", "{tmp}/data"], "skyalign.cli.generate"),
+        (["eval", "--gallery", "{sat}", "--queries", "{drone}", "--relevance", "{rel}",
+          "--out", "{tmp}/m.csv", "--dump-scores", "{tmp}/s.csv"], "skyalign.cli.evaluate"),
+        (["ablate-dim", "--config", "{train}", "--data", "{data}", "--dims", "8", "--seeds", "0",
+          "--out", "{tmp}/sweep.csv"], "skyalign.ablations.score_jobs"),
+    ], ids=["gen-data", "eval", "ablate-dim"])
+    def test_out_of_memory_exits_4_with_one_line(self, pipeline, tmp_path, capsys, monkeypatch,
+                                                 argv, stage):
+        # raised, not provoked: under overcommit a real oversized allocation
+        # can succeed and then be killed
+        message = ("Unable to allocate 373. GiB for an array with shape (99999999999, 500) "
+                   "and data type float64")
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(stage, out_of_memory)
+        names = {"tmp": tmp_path, "gen": pipeline["gen_cfg"], "train": pipeline["train_cfg"],
+                 "data": pipeline["data"], "sat": pipeline["emb"]["sat"],
+                 "drone": pipeline["emb"]["drone"],
+                 "rel": os.path.join(pipeline["data"], "relevance_drone2sat.csv")}
+        assert main([a.format(**names) for a in argv]) == 4
+        assert capsys.readouterr().err == f"memory error: {message}\n"
+        assert os.listdir(tmp_path) == (["data"] if argv[0] == "gen-data" else [])
+
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -523,6 +567,49 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("numeric error: loss terms not finite: "), err
         assert err.count("\n") == 1, err
+
+
+    @pytest.mark.parametrize("argv,repeated", [
+        (["ablate-bins", "--bins", "4,8,none,8", "--seeds", "0"], "--bins repeats 8"),
+        (["ablate-bins", "--bins", "none,4,none", "--seeds", "0"], "--bins repeats none"),
+        (["ablate-bins", "--bins", "8,08", "--seeds", "0"], "--bins repeats 8"),
+        (["ablate-dim", "--dims", "8,16,8", "--seeds", "0"], "--dims repeats 8"),
+        (["ablate-bins", "--bins", "8,none", "--seeds", "0,0"], "--seeds repeats 0"),
+        (["ablate-dim", "--dims", "8,16,8", "--seeds", "1,2,1"], "--seeds repeats 1"),
+    ], ids=["bins-count", "bins-none", "bins-same-int", "dims", "bins-seeds", "dims-seeds-first"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+    def test_repeated_setting_or_seed_exits_2_before_training(self, pipeline, tmp_path, capsys,
+                                                              monkeypatch, argv, repeated,
+                                                              existing):
+        def trained(*args, **kwargs):
+            raise AssertionError("a sweep with a repeated value trained")
+
+        monkeypatch.setattr("skyalign.ablations.score_jobs", trained)
+        monkeypatch.setattr("skyalign.ablations.train_and_score", trained)
+        out = tmp_path / "sweep.csv"
+        if existing:
+            out.write_bytes(b"earlier,contents\r\n")
+        code = main([*argv, "--config", pipeline["train_cfg"], "--data", pipeline["data"],
+                     "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (2, f"config error: {repeated}\n")
+        if existing:
+            assert out.read_bytes() == b"earlier,contents\r\n"
+        else:
+            assert os.listdir(tmp_path) == []
+
+    def test_base_bin_count_and_none_are_two_settings(self, pipeline, tmp_path, capsys,
+                                                      monkeypatch):
+        # the pipeline's train config has bins = 8
+        monkeypatch.setattr("skyalign.ablations.score_jobs",
+                            lambda jobs: [{"recall@1": 0.25, "ap": 0.5}] * len(jobs))
+        out = tmp_path / "bins.csv"
+        assert main(["ablate-bins", "--config", pipeline["train_cfg"], "--data", pipeline["data"],
+                     "--bins", "8,none", "--seeds", "0,1", "--out", str(out)]) == 0
+        assert out.read_bytes() == (b"bins,seed,recall_at_1,ap\r\n8,0,0.25,0.5\r\n8,1,0.25,0.5\r\n"
+                                    b"none,0,0.25,0.5\r\nnone,1,0.25,0.5\r\n")
+        assert capsys.readouterr().out == ("bins=8: mean R@1 = 0.2500\n"
+                                           "bins=none: mean R@1 = 0.2500\n"
+                                           f"wrote sweep to {out}\n")
 
 
 class TestEmbed:
