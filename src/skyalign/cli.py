@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ablations, binio, configio
 from .dataset import CrossViewDataset, generate, relevance_maps
-from .errors import ConfigError, DataError, NormDegenerate, NumericError
+from .errors import ConfigError, DataError, DuplicateId, NormDegenerate, NumericError
 from .model import encode, load_checkpoint, save_checkpoint
 from .pose_geometry import LabelConfig, generate_labels, read_manifest, write_labels, write_manifest
 from .retrieval_eval import (
@@ -134,11 +134,12 @@ def cmd_embed(args) -> None:
 
 
 def _rows_named(where: str, make, *args):
-    """make(*args), with a zero or non-finite row's error naming where."""
+    """make(*args), with a zero or non-finite row's or a repeated id's error
+    naming where."""
     try:
         return make(*args)
-    except NormDegenerate as exc:
-        raise NormDegenerate(f"{where}: {exc}") from None
+    except (NormDegenerate, DuplicateId) as exc:
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def _load_query_gallery(args):

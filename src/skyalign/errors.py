@@ -36,6 +36,10 @@ class DimTooLarge(DataError):
     """Requested truncation dimension exceeds the stored one."""
 
 
+class DuplicateId(DataError):
+    """An id occurs twice in a set that needs unique ids."""
+
+
 class IdMismatch(DataError):
     """Id sets that must agree do not."""
 

@@ -1,5 +1,6 @@
 import os
 import sys
+import threading
 
 import pytest
 
@@ -15,3 +16,13 @@ def no_child_process_left():
     except ChildProcessError:
         return
     pytest.fail(f"the test left a child process behind ({f'pid {pid}' if pid else 'running'})")
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    """Fail a test that ends with more live threads than it started with."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    if left:
+        pytest.fail(f"the test left {len(left)} thread(s) running: {', '.join(left)}")

@@ -730,6 +730,24 @@ class TestEval:
                                            f"embedding row 1 has norm 0.000e+00\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("role", ["--queries", "--gallery"])
+    def test_duplicate_id_names_file_and_id(self, pipeline, tmp_path, capsys, role):
+        ids, matrix = binio.read_embeddings(pipeline["emb"]["drone" if role == "--queries"
+                                                           else "sat"])
+        ids[2], ids[4] = ids[1], ids[0]  # ids[1] repeats first, at row 2
+        bad = tmp_path / "dup.bin"
+        binio.write_embeddings(bad, ids, matrix)
+        args = {"--gallery": pipeline["emb"]["sat"], "--queries": pipeline["emb"]["drone"],
+                role: str(bad)}
+        out = tmp_path / "m.csv"
+        code = main(["eval", *(x for kv in args.items() for x in kv), "--relevance",
+                     os.path.join(pipeline["data"], "relevance_drone2sat.csv"),
+                     "--k", "1", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (f"data error: {bad}: duplicate id {ids[1]!r} "
+                                           f"in embedding set\n")
+        assert not out.exists()
+
     def test_oversized_dim_exits_3(self, pipeline, tmp_path, capsys):
         code = main(["eval", "--gallery", pipeline["emb"]["sat"],
                      "--queries", pipeline["emb"]["drone"],

@@ -9,6 +9,8 @@ thread count, and BLAS kernel, and ties are exact rather than ulp-close.
 """
 
 import itertools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -66,6 +68,11 @@ def dyadic_set(rng, n, dim, prefix):
     return EmbeddingSet(ids, (grid / 64.0).astype(np.float32))
 
 
+def one_shot_reference(m):
+    """_renormalize's reference: every row at once in float64."""
+    return (m / np.linalg.norm(m.astype(np.float64), axis=1, keepdims=True)).astype(np.float32)
+
+
 def ranking_tuples(ranked):
     return [(r.gallery_ids, [float(s) for s in r.scores]) for r in ranked]
 
@@ -80,6 +87,14 @@ class TestEmbeddingSet:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(DataError):
             EmbeddingSet(["a", "a"], np.eye(2, dtype=np.float32))
+
+    def test_unsorted_duplicate_ids_rejected_naming_first_repeat(self):
+        # not ascending, so the set check runs; "c" repeats before "a" does
+        with pytest.raises(DataError, match="^duplicate id 'c' in embedding set$"):
+            EmbeddingSet(["c", "a", "b", "c", "a"], np.eye(5, dtype=np.float32))
+        assert EmbeddingSet(["c", "a", "b"], np.eye(3, dtype=np.float32)).ids == ["c", "a", "b"]
+        with pytest.raises(DataError, match="^duplicate id 'a'"):  # ids are checked before rows
+            EmbeddingSet.from_rows(["a", "a"], np.zeros((2, 3)))
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(DataError):
@@ -108,14 +123,50 @@ class TestEmbeddingSet:
         # 3000 x 300 spans several of _renormalize's row chunks
         rng = np.random.default_rng(13)
         m = (rng.standard_normal((3000, 300)) * rng.uniform(0.1, 10, (3000, 1))).astype(np.float32)
-        ref = (m / np.linalg.norm(m.astype(np.float64), axis=1, keepdims=True)).astype(np.float32)
-        assert _renormalize(m).tobytes() == ref.tobytes()
+        assert _renormalize(m).tobytes() == one_shot_reference(m).tobytes()
         m[2500] = 0.0
         with pytest.raises(NormDegenerate, match="row 2500 has norm"):
             _renormalize(m)
         m[2999, 7] = np.inf  # non-finite is reported before a zero norm
         with pytest.raises(NormDegenerate, match="row 2999 is not finite"):
             _renormalize(m)
+
+    def test_owned_rows_normalized_in_place_with_the_same_bytes(self, tmp_path):
+        rng = np.random.default_rng(15)
+        m = rng.standard_normal((700, 33)) * rng.uniform(0.1, 10, (700, 1))
+        ref = _renormalize(m.astype(np.float32))
+        rows = m.astype(np.float32)
+        assert _renormalize(rows, out=rows) is rows
+        assert rows.tobytes() == ref.tobytes()
+        assert EmbeddingSet.from_rows(range(700), m).matrix.tobytes() == ref.tobytes()
+        path = tmp_path / "emb.bin"
+        binio.write_embeddings(path, [str(i) for i in range(700)], m.astype(np.float32))
+        assert EmbeddingSet.load(path).matrix.tobytes() == ref.tobytes()
+
+    def test_from_rows_leaves_callers_float32_rows_unchanged(self):
+        rows = np.random.default_rng(16).standard_normal((50, 8)).astype(np.float32) * 3
+        before = rows.copy()
+        es = EmbeddingSet.from_rows(range(50), rows)
+        assert rows.tobytes() == before.tobytes()
+        assert es.matrix.tobytes() == _renormalize(before).tobytes()
+        view = rows[::2, 1:]  # a float32 view is not the caller's to write either
+        EmbeddingSet.from_rows(range(25), view)
+        assert rows.tobytes() == before.tobytes()
+
+    def test_load_peak_is_about_one_matrix(self, tmp_path):
+        n, dim = 20_000, 384
+        path = tmp_path / "emb.bin"
+        rows = np.random.default_rng(17).standard_normal((n, dim)).astype(np.float32)
+        binio.write_embeddings(path, [f"v{i:05d}" for i in range(n)], rows)
+        del rows
+        tracemalloc.start()
+        try:
+            es = EmbeddingSet.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert es.matrix.shape == (n, dim)
+        assert peak < 1.5 * es.matrix.nbytes  # a second matrix would make it 2
 
     def test_renormalize_strided_views_equal_contiguous_copies(self):
         # truncate_dim hands _renormalize a column slice without copying it
@@ -126,6 +177,105 @@ class TestEmbeddingSet:
             view = m[::int(rng.integers(1, 4)), :int(rng.integers(1, dim + 1)):int(rng.integers(1, 3))]
             assert _renormalize(view).tobytes() == \
                 _renormalize(np.ascontiguousarray(view)).tobytes()
+
+
+class TestThreadedRenormalize:
+    """Sets of 2 * 2**22 values, which _renormalize splits over two threads
+    when at least two CPUs are usable (the four_cpus fixture claims four)."""
+
+    @pytest.fixture
+    def four_cpus(self, monkeypatch):
+        monkeypatch.setattr(retrieval_eval.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        rng = np.random.default_rng(18)
+        return (rng.standard_normal((1 << 17, 128)) * rng.uniform(0.1, 10, ((1 << 17), 1))
+                ).astype(np.float32)
+
+    def shares(self, monkeypatch, m):
+        """{True: the caller's chunk starts, False: the helper's}."""
+        seen = {}
+        real = retrieval_eval._normalize_chunks
+
+        def spy(matrix, out, norms, starts, scratch):
+            seen[threading.current_thread() is threading.main_thread()] = starts
+            real(matrix, out, norms, starts, scratch)
+
+        monkeypatch.setattr(retrieval_eval, "_normalize_chunks", spy)
+        _renormalize(m)
+        monkeypatch.setattr(retrieval_eval, "_normalize_chunks", real)
+        return seen
+
+    def test_contiguous_and_strided_equal_one_shot(self, four_cpus, rows, monkeypatch):
+        for m in (np.ascontiguousarray(rows[:, :64]), rows[:, ::2], rows[::2]):
+            assert m.size >= 2 << 22
+            assert set(self.shares(monkeypatch, m)) == {True, False}
+            assert _renormalize(m).tobytes() == one_shot_reference(m).tobytes()
+
+    def test_lowest_bad_row_reported_non_finite_first(self, four_cpus, rows, monkeypatch):
+        m = np.ascontiguousarray(rows[:, :64])
+        share = self.shares(monkeypatch, m)
+        helper = share[False][0] + 1  # a row of the helper's first chunk
+        caller = next(s for s in share[True] if s > helper) + 3  # a later row of the caller's
+        m[[helper, caller]] = 0.0
+        with pytest.raises(NormDegenerate, match=f"^embedding row {helper} has norm 0.000e"):
+            _renormalize(m)
+        m[caller + 1, 5] = np.nan
+        with pytest.raises(NormDegenerate, match=f"^embedding row {caller + 1} is not finite$"):
+            _renormalize(m)
+        m[helper + 2, 0] = -np.inf
+        with pytest.raises(NormDegenerate, match=f"^embedding row {helper + 2} is not finite$"):
+            _renormalize(m)
+
+    @pytest.mark.parametrize("error", [MemoryError, ValueError])
+    def test_helper_exception_reaches_caller_and_no_thread_is_left(
+            self, four_cpus, rows, monkeypatch, error):
+        real = retrieval_eval._normalize_chunks
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise error("helper failed")
+            real(*args)
+
+        monkeypatch.setattr(retrieval_eval, "_normalize_chunks", failing)
+        before = threading.active_count()
+        with pytest.raises(error, match="helper failed"):
+            _renormalize(rows[:, :64])
+        assert threading.active_count() == before
+
+    def test_more_threads_than_cores_give_one_threads_bytes(self, rows, monkeypatch):
+        # 2**24 values: four threads under a short switch interval
+        monkeypatch.setattr(retrieval_eval.os, "sched_getaffinity", lambda pid: {0})
+        ref = _renormalize(rows)
+        monkeypatch.setattr(retrieval_eval.os, "sched_getaffinity", lambda pid: set(range(8)))
+        started = []
+        real_thread = threading.Thread
+
+        def counted(*args, **kwargs):
+            started.append(real_thread(*args, **kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(retrieval_eval.threading, "Thread", counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = _renormalize(rows)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(started) == 3 and not any(t.is_alive() for t in started)
+        assert out.tobytes() == ref.tobytes()
+
+    def test_one_usable_cpu_starts_no_thread(self, rows, monkeypatch):
+        m = rows[:, :64]
+        ref = one_shot_reference(m)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(retrieval_eval.os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(retrieval_eval.threading, "Thread", no_thread)
+        assert _renormalize(m).tobytes() == ref.tobytes()
 
 
 class TestTopKExactness:
