@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, NumericError
 
 FEA_MAGIC = b"FEA1"
 EMB_MAGIC = b"EMB1"
@@ -121,17 +121,22 @@ def _check_magic(fh, magic: bytes, path) -> None:
 
 
 def write_features(path, ids, kinds, vectors, azimuths, masked) -> None:
-    """Write a FEA1 file from the columns of a Views table."""
-    vec = np.ascontiguousarray(vectors, dtype="<f4")
+    """Write a FEA1 file from the columns of a Views table; NumericError,
+    before path is opened, if a vector or azimuth is not finite as float32."""
+    with np.errstate(over="ignore"):
+        vec = np.ascontiguousarray(vectors, dtype="<f4")
+        azimuths = np.asarray(azimuths, dtype="<f4")
     n, dim = vec.shape
     if not (len(ids) == len(kinds) == len(azimuths) == len(masked) == n):
         raise ValueError("feature field lengths disagree")
+    if not (np.isfinite(vec).all() and np.isfinite(azimuths).all()):
+        raise NumericError(f"{path}: a vector or azimuth is not finite as float32")
     heads = _id_records(ids)
     width = 4 * dim + 6  # the record after its id: kind, vector, azimuth, masked flag
     tails = np.empty((n, width), dtype=np.uint8)
     tails[:, 0] = kinds
     tails[:, 1:width - 5] = vec.view(np.uint8)
-    tails[:, width - 5:width - 1] = np.asarray(azimuths, dtype="<f4").reshape(n, 1).view(np.uint8)
+    tails[:, width - 5:width - 1] = azimuths.reshape(n, 1).view(np.uint8)
     tails[:, -1] = np.asarray(masked, dtype=bool)
     starts = np.cumsum([len(h) for h in heads], dtype=np.intp) + width * np.arange(n)
     tail = _tail_mask(starts, width)

@@ -63,12 +63,6 @@ def _int_list(text: str, flag: str, low: int) -> list[int]:
     return values
 
 
-def _bin_count(bins: int) -> int:
-    if bins < 2:
-        raise ConfigError(f"--bins must be >= 2, got {bins}")
-    return bins
-
-
 def _float_list(text: str) -> list[float]:
     try:
         values = [float(v) for v in text.split(",") if v.strip()]
@@ -93,7 +87,7 @@ def cmd_gen_data(args) -> None:
 
 
 def cmd_gen_labels(args) -> None:
-    label_cfg = LabelConfig(_bin_count(args.bins))
+    label_cfg = LabelConfig(args.bins)
     manifest = read_manifest(_require_file(args.manifest))
     labels = generate_labels(manifest, label_cfg)
     write_labels(labels, args.out)
@@ -240,7 +234,7 @@ def cmd_ablate_bins(args) -> None:
         bins: list = []
         for tok in filter(None, map(str.strip, args.bins.split(","))):
             try:
-                bins.append(tok if tok == ablations.BINS_NONE else _bin_count(int(tok)))
+                bins.append(tok if tok == ablations.BINS_NONE else LabelConfig(int(tok)).bins)
             except ValueError:
                 raise ConfigError(f"bad bins entry {tok!r}") from None
         return bins

@@ -2,12 +2,18 @@
 
 Precedence, lowest to highest: dataclass default, config file, environment
 variable SKYALIGN_<KEY> (key upper-cased), explicit CLI flag.
+
+The config dataclasses are the schema: their fields name the keys and their
+types, TrainConfig.loss standing for LossConfig's, and their __post_init__
+checks are the only range rules.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from dataclasses import fields, is_dataclass
+from typing import get_type_hints
 
 from .dataset import GenConfig
 from .errors import ConfigError, open_text
@@ -16,38 +22,20 @@ from .trainer import TrainConfig
 
 ENV_PREFIX = "SKYALIGN_"
 
-GEN_KEYS = {
-    "n_buildings": int,
-    "views_per_building": int,
-    "latent_dim": int,
-    "noise_sigma": float,
-    "fail_prob": float,
-    "seed": int,
-    "bins": int,
-}
 
-TRAIN_KEYS = {
-    "peak_lr": float,
-    "warmup_frac": float,
-    "epochs": int,
-    "batch_size": int,
-    "weight_decay": float,
-    "beta1": float,
-    "beta2": float,
-    "adam_eps": float,
-    "seed": int,
-    "rotation_prob": float,
-    "hidden_dim": int,
-    "embed_dim": int,
-    "train_temperature": bool,
-    "smoothing": float,
-    "temperature": float,
-    "orientation_mode": str,
-    "orientation_weight": float,
-    "bins": int,
-}
+def _schema(cls) -> dict[str, type]:
+    """{key: type} of a config dataclass in field order, with a nested config
+    field's keys in its place."""
+    hints = get_type_hints(cls)
+    keys: dict[str, type] = {}
+    for f in fields(cls):
+        keys.update(_schema(hints[f.name]) if is_dataclass(hints[f.name])
+                    else {f.name: hints[f.name]})
+    return keys
 
-_LOSS_KEYS = ("smoothing", "temperature", "orientation_mode", "orientation_weight", "bins")
+
+GEN_KEYS = _schema(GenConfig)
+TRAIN_KEYS = _schema(TrainConfig)
 
 
 def parse_flat_file(path) -> dict[str, str]:
@@ -74,17 +62,13 @@ def parse_flat_file(path) -> dict[str, str]:
     return values
 
 
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
 def _coerce(key: str, raw: str, typ):
     try:
-        if typ is bool:
-            low = raw.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        value = typ(raw)
-    except ValueError:
+        value = _BOOLS[raw.lower()] if typ is bool else typ(raw)
+    except (KeyError, ValueError):
         raise ConfigError(f"bad value for {key}: {raw!r}") from None
     if typ is float and not math.isfinite(value):
         raise ConfigError(f"{key} must be finite, got {raw!r}")
@@ -104,12 +88,7 @@ def resolve(values: dict[str, str], known: dict[str, type],
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
             out[key] = _coerce(key, env, typ)
-    if overrides:
-        for key, val in overrides.items():
-            if val is not None:
-                out[key] = val
-    if out.get("seed", 0) < 0:
-        raise ConfigError(f"seed must be >= 0, got {out['seed']}")
+    out.update((key, val) for key, val in (overrides or {}).items() if val is not None)
     return out
 
 
@@ -123,8 +102,5 @@ def load_gen_config(path, overrides: dict | None = None) -> GenConfig:
 
 def load_train_config(path, overrides: dict | None = None) -> TrainConfig:
     resolved = resolve(parse_flat_file(path), TRAIN_KEYS, overrides)
-    loss_kwargs = {k: resolved.pop(k) for k in _LOSS_KEYS if k in resolved}
-    try:
-        return TrainConfig(loss=LossConfig(**loss_kwargs), **resolved)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    loss = LossConfig(**{k: resolved.pop(k) for k in _schema(LossConfig) if k in resolved})
+    return TrainConfig(loss=loss, **resolved)

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import binio
 from .binio import Views
-from .errors import BatchTooLarge, ConfigError, DataError
+from .errors import BatchTooLarge, ConfigError, DataError, check_nbytes
 from .pose_geometry import (
     MASKED_BIN,
     LabelConfig,
@@ -64,6 +64,8 @@ class GenConfig:
     bins: int
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_buildings < 2:
             raise ConfigError(f"n_buildings must be >= 2, got {self.n_buildings}")
         if self.views_per_building < 1:
@@ -74,8 +76,7 @@ class GenConfig:
             raise ConfigError("noise_sigma must be >= 0")
         if not 0.0 <= self.fail_prob <= 1.0:
             raise ConfigError("fail_prob must be in [0, 1]")
-        if self.bins < 2:
-            raise ConfigError("bins must be >= 2")
+        LabelConfig(self.bins)
 
 
 @dataclass
@@ -116,6 +117,7 @@ def generate(cfg: GenConfig) -> tuple[Views, Manifest]:
     """
     per_building = 1 + cfg.views_per_building
     n = cfg.n_buildings * per_building
+    check_nbytes(8 * n * (cfg.latent_dim + 2), f"{n} views of {cfg.latent_dim + 2} values")
     kinds = np.full(n, binio.KIND_DRONE_CODE, dtype=np.uint8)
     kinds[::per_building] = binio.KIND_SAT_CODE
     drone = kinds == binio.KIND_DRONE_CODE

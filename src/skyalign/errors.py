@@ -5,6 +5,7 @@ DataError -> 3, NumericError -> 4.
 """
 
 import csv
+import sys
 from contextlib import contextmanager
 
 
@@ -70,6 +71,13 @@ class NonFiniteLoss(NumericError):
 
 class WorkerDied(NumericError):
     """A sweep worker process ended without sending its results."""
+
+
+def check_nbytes(nbytes: int, what: str) -> None:
+    """MemoryError, before numpy is asked, when what needs more bytes than an
+    address space holds: for such shapes numpy raises ValueError instead."""
+    if nbytes > sys.maxsize:
+        raise MemoryError(f"{what} would take {nbytes} bytes, more than can be addressed")
 
 
 @contextmanager

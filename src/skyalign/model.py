@@ -18,7 +18,7 @@ import numpy as np
 
 from . import binio
 from .dataset import TrainBatch
-from .errors import FormatError, NormDegenerate, NumericError
+from .errors import FormatError, NormDegenerate, NumericError, check_nbytes
 from .objectives import (
     MODE_CLASSIFICATION,
     MODE_NONE,
@@ -91,6 +91,8 @@ def init(rng: np.random.Generator, latent_dim: int, hidden: int, embed: int,
     if min(latent_dim, hidden, embed, head_rows) < 1:
         raise ValueError("all model dimensions must be >= 1")
     m2 = latent_dim + 2
+    check_nbytes(8 * (hidden * (m2 + 1) + embed * (hidden + 1) + head_rows * (2 * embed + 1)),
+                 f"a model of widths {hidden}, {embed} and {head_rows}")
     return ModelParams(
         W1=_xavier(rng, hidden, m2),
         b1=np.zeros(hidden),

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllMasked, ConfigError, DataError, NonFiniteLoss
+from .pose_geometry import LabelConfig
 
 MODE_CLASSIFICATION = "classification"
 MODE_REGRESSION = "regression"
@@ -57,8 +58,7 @@ class LossConfig:
             raise ConfigError(f"unknown orientation_mode {self.orientation_mode!r}")
         if self.orientation_weight < 0:
             raise ConfigError("orientation_weight must be >= 0")
-        if self.bins < 2:
-            raise ConfigError("bins must be >= 2")
+        LabelConfig(self.bins)
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ManifestError, open_text, write_csv
+from .errors import ConfigError, ManifestError, open_text, write_csv
 
 KIND_SAT = "sat"
 KIND_DRONE = "drone"
@@ -62,13 +62,16 @@ class Labels(NamedTuple):
 
 @dataclass(frozen=True)
 class LabelConfig:
-    """Number of discrete orientation bins; bin width is 360/bins degrees."""
+    """Number of discrete orientation bins; bin width is 360/bins degrees.
+    The one check of a bin count: every config with a bins key makes one."""
 
     bins: int
 
     def __post_init__(self):
         if self.bins < 2:
-            raise ValueError(f"bins must be >= 2, got {self.bins}")
+            raise ConfigError(f"bins must be >= 2, got {self.bins}")
+        if self.bins >= 2**63:  # bins are int64 labels
+            raise ConfigError(f"bins must be < 2**63, got {self.bins}")
 
     @property
     def bin_width_deg(self) -> float:

@@ -37,8 +37,9 @@ most max(DEFAULT_QUERY_BLOCK, 2**20 // gallery size) rows into one reused
 buffer and keeps only each relevant pair's rank, so its memory is bounded
 by that buffer: it grows with the gallery, not with the query count, and
 for at most DEFAULT_QUERY_BLOCK queries the buffer is the whole table.
-Both count ranks by gathering 2**20 scores at a time.  The queries are split into equal
-blocks, sizes differing by at most 1, because the BLAS kernel can depend on
+Both count ranks by gathering 2**20 scores at a time.  evaluate, and top_k
+under its query_block cap, split the queries into equal blocks, sizes
+differing by at most 1 (_equal_blocks), because the BLAS kernel can depend on
 the block's row count: a lone 1-row block would go through gemv, whose
 scores differ in the last bits from the dense product (and so did AP, at a
 160 000 x 384 gallery), while blocks of 2 to 30 rows gave the dense
@@ -295,6 +296,13 @@ def _topk_query_block(qmat, gmat, k: int, gallery_block: int):
     return run_s, run_i
 
 
+def _equal_blocks(n: int, cap: int) -> list[tuple[int, int]]:
+    """(start, stop) of the fewest blocks of at most cap rows that cover n
+    rows, their sizes differing by at most 1 (see the module docstring)."""
+    count = -(-n // cap)
+    return [(b * n // count, (b + 1) * n // count) for b in range(count)]
+
+
 def _id_ordered(gallery: EmbeddingSet) -> tuple[list[str], np.ndarray]:
     """Gallery ids ascending and the C-contiguous rows in that order; rows
     whose ids are already sorted are not copied."""
@@ -322,8 +330,7 @@ def top_k(gallery: EmbeddingSet, queries: EmbeddingSet, k: int, *,
     gids, gmat = _id_ordered(gallery)
 
     qmat = queries.matrix
-    blocks = [(s, min(s + query_block, qmat.shape[0]))
-              for s in range(0, qmat.shape[0], query_block)]
+    blocks = _equal_blocks(qmat.shape[0], query_block)
 
     def run(span):
         return _topk_query_block(qmat[span[0]:span[1]], gmat, k, gallery_block)
@@ -472,8 +479,8 @@ def fuse(tables: list[ScoreTable], weights: list[float] | None = None,
     if not np.isfinite(weights).all():
         raise DataError(f"weights must be finite, got {weights}")
     wsum = float(sum(weights))
-    if wsum <= 0:
-        raise DataError("weights must sum to a positive value")
+    if not 0 < wsum < np.inf:  # an infinite sum would fuse every w / wsum to 0
+        raise DataError(f"weights must sum to a positive finite value, got {wsum}")
     base = tables[0]
     gorder = sorted(range(len(base.gallery_ids)), key=base.gallery_ids.__getitem__)
     gids = [base.gallery_ids[i] for i in gorder]
@@ -639,12 +646,11 @@ def evaluate(queries: EmbeddingSet, gallery: EmbeddingSet,
     gids, gmat = _id_ordered(gallery)
     qrow, rcol = _relevant_pairs(queries.ids, gids, relevance, ks)
     nq = len(queries.ids)
-    n_blocks = -(-nq // max(DEFAULT_QUERY_BLOCK, _BLOCK_VALUES // max(1, len(gids))))
-    edges = [b * nq // n_blocks for b in range(n_blocks + 1)]  # sizes differ by at most 1
-    buf = np.empty((-(-nq // n_blocks), len(gids)),
+    blocks = _equal_blocks(nq, max(DEFAULT_QUERY_BLOCK, _BLOCK_VALUES // max(1, len(gids))))
+    buf = np.empty((-(-nq // len(blocks)), len(gids)),  # the largest block's rows
                    dtype=np.result_type(queries.matrix, gmat))
     rank = np.empty(len(qrow), dtype=np.int64)
-    for q0, q1 in zip(edges, edges[1:]):
+    for q0, q1 in blocks:
         p0, p1 = np.searchsorted(qrow, [q0, q1])
         scores = np.matmul(queries.matrix[q0:q1], gmat.T, out=buf[:q1 - q0])
         _count_ranks(scores, qrow[p0:p1] - q0, rcol[p0:p1], rank[p0:p1])

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import BatchSampler, CrossViewDataset, apply_aligned_rotation
-from .errors import NonFiniteLoss, write_csv
+from .errors import ConfigError, NonFiniteLoss, write_csv
 from .model import ModelParams, forward_backward, init
 from .objectives import MODE_REGRESSION, LossConfig
 from .pose_geometry import LabelConfig
@@ -42,20 +42,22 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.peak_lr >= 0:
-            raise ValueError("peak_lr must be >= 0")
+            raise ConfigError("peak_lr must be >= 0")
         if not 0.0 <= self.warmup_frac < 1.0:
-            raise ValueError("warmup_frac must be in [0, 1)")
+            raise ConfigError("warmup_frac must be in [0, 1)")
         if not 0.0 <= self.rotation_prob <= 1.0:
-            raise ValueError("rotation_prob must be in [0, 1]")
+            raise ConfigError("rotation_prob must be in [0, 1]")
         if min(self.epochs, self.hidden_dim, self.embed_dim) < 1:
-            raise ValueError("epochs, hidden_dim and embed_dim must be >= 1")
+            raise ConfigError("epochs, hidden_dim and embed_dim must be >= 1")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must be in [0, 1)")
+            raise ConfigError("beta1 and beta2 must be in [0, 1)")
         if not self.weight_decay >= 0:
-            raise ValueError("weight_decay must be >= 0")
+            raise ConfigError("weight_decay must be >= 0")
         if not self.adam_eps > 0:
-            raise ValueError("adam_eps must be > 0")
+            raise ConfigError("adam_eps must be > 0")
 
 
 @dataclass

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from skyalign import binio
-from skyalign.errors import FormatError
+from skyalign.errors import FormatError, NumericError
 from skyalign.model import _checkpoint_shapes
 
 from oracles import (
@@ -87,10 +87,26 @@ class TestFeatures:
         else:
             azimuths[1] = value
         path = tmp_path / "f.bin"
-        binio.write_features(path, ["a", "b", "c"], [0, 1, 1], vectors, azimuths,
-                             [False, False, True])
+        record_write_features(path, ["a", "b", "c"], [0, 1, 1], vectors, azimuths,
+                              [False, False, True])
         with pytest.raises(FormatError, match=f"f.bin: record 1: {field} is not finite"):
             binio.read_features(path)
+
+    @pytest.mark.parametrize("field,value", [("vector", np.nan), ("vector", 1e300),
+                                             ("azimuth", np.inf), ("azimuth", -1e39)])
+    def test_write_refuses_non_finite_as_float32(self, tmp_path, field, value):
+        # what the reader would refuse is not written: no file is left
+        vectors = np.zeros((3, 2))
+        azimuths = [0.0, 90.0, 180.0]
+        if field == "vector":
+            vectors[1, 1] = value
+        else:
+            azimuths[1] = value
+        path = tmp_path / "f.bin"
+        with pytest.raises(NumericError, match="f.bin: a vector or azimuth is not finite"):
+            binio.write_features(path, ["a", "b", "c"], [0, 1, 1], vectors, azimuths,
+                                 [False, False, True])
+        assert not path.exists()
 
     def test_length_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError):

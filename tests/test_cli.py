@@ -17,7 +17,7 @@ from skyalign.errors import NonFiniteLoss
 from skyalign.model import init, load_checkpoint
 from skyalign.retrieval_eval import EmbeddingSet
 
-from oracles import record_write_embeddings
+from oracles import record_write_embeddings, record_write_features
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -49,6 +49,21 @@ def write_train_cfg(path, *, lr=0.01, epochs=2, batch=8, seed=3,
         encoding="utf-8",
     )
     return str(path)
+
+
+def with_inputs(pipeline, argv, out):
+    """argv with the pipeline's inputs for its command after its first word
+    and --out out at its end; argv's own flags follow the inputs, so they win."""
+    inputs = {
+        "gen-data": ["--config", pipeline["gen_cfg"]],
+        "gen-labels": ["--manifest", os.path.join(pipeline["data"], "manifest.csv")],
+        "train": ["--config", pipeline["train_cfg"], "--data", pipeline["data"]],
+        "ablate-bins": ["--config", pipeline["train_cfg"], "--data", pipeline["data"],
+                        "--seeds", "0"],
+        "ablate-dim": ["--config", pipeline["train_cfg"], "--data", pipeline["data"],
+                       "--seeds", "0"],
+    }[argv[0]]
+    return argv[:1] + inputs + argv[1:] + ["--out", str(out)]
 
 
 @pytest.fixture(scope="module")
@@ -260,21 +275,45 @@ class TestUsageAndExitCodes:
                                                   capsys, env, argv):
         for key, value in env.items():
             monkeypatch.setenv(key, value)
-        inputs = {
-            "gen-data": ["--config", pipeline["gen_cfg"]],
-            "gen-labels": ["--manifest", os.path.join(pipeline["data"], "manifest.csv")],
-            "train": ["--config", pipeline["train_cfg"], "--data", pipeline["data"]],
-            "ablate-bins": ["--config", pipeline["train_cfg"], "--data", pipeline["data"],
-                            "--seeds", "0"],
-            "ablate-dim": ["--config", pipeline["train_cfg"], "--data", pipeline["data"],
-                           "--seeds", "0"],
-        }[argv[0]]
         out = tmp_path / "out"
-        code = main(argv[:1] + inputs + argv[1:] + ["--out", str(out)])  # argv's flags win
+        code = main(with_inputs(pipeline, argv, out))
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("env,argv,error", [
+        ({"SKYALIGN_N_BUILDINGS": str(2**62)}, ["gen-data"], "memory"),
+        ({"SKYALIGN_LATENT_DIM": str(10**20)}, ["gen-data"], "memory"),
+        ({"SKYALIGN_VIEWS_PER_BUILDING": str(10**20)}, ["gen-data"], "memory"),
+        ({"SKYALIGN_BINS": str(10**20)}, ["gen-data"], "config"),
+        ({"SKYALIGN_NOISE_SIGMA": "1e300"}, ["gen-data"], "numeric"),
+        ({"SKYALIGN_HIDDEN_DIM": str(10**20)}, ["train"], "memory"),
+        ({"SKYALIGN_EMBED_DIM": str(10**20)}, ["train"], "memory"),
+        ({"SKYALIGN_HIDDEN_DIM": str(2**62)}, ["train"], "memory"),
+        ({"SKYALIGN_EMBED_DIM": str(2**62)}, ["train"], "memory"),
+        ({"SKYALIGN_BINS": str(10**20)}, ["train"], "config"),
+        ({}, ["gen-labels", "--bins", str(10**20)], "config"),
+        ({}, ["ablate-bins", "--bins", str(10**20)], "config"),
+        ({}, ["ablate-dim", "--dims", str(10**20)], "memory"),
+    ], ids=["gen-data-buildings-2**62", "gen-data-latent-1e20", "gen-data-views-1e20",
+            "gen-data-bins-1e20", "gen-data-noise-1e300", "train-hidden-1e20",
+            "train-embed-1e20", "train-hidden-2**62", "train-embed-2**62", "train-bins-1e20",
+            "gen-labels-bins-1e20", "ablate-bins-1e20", "ablate-dim-1e20"])
+    def test_oversized_value_exits_with_one_line_and_no_output(self, pipeline, tmp_path,
+                                                               monkeypatch, capsys, env, argv,
+                                                               error):
+        # numpy refuses such shapes with ValueError or OverflowError, so the
+        # sizes are checked before it is asked; a huge noise overflows float32
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        out = tmp_path / "out"
+        code = main(with_inputs(pipeline, argv, out))
+        err = capsys.readouterr().err
+        assert code == (2 if error == "config" else 4)
+        assert err.startswith(f"{error} error: ") and err.count("\n") == 1
+        # gen-data and train make their --out directory before the work fails
+        assert not out.is_file() and (not out.exists() or os.listdir(out) == [])
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--k", "0"],
@@ -311,7 +350,7 @@ class TestUsageAndExitCodes:
         vectors[5, 0] = np.nan
         data = tmp_path / "data"
         data.mkdir()
-        binio.write_features(data / "features.bin", ids, kinds, vectors, azimuths, masked)
+        record_write_features(data / "features.bin", ids, kinds, vectors, azimuths, masked)
         shutil.copy(os.path.join(pipeline["data"], "manifest.csv"), data)
         code = main(["train", "--config", pipeline["train_cfg"], "--data", str(data),
                      "--out", str(tmp_path / "run")])
@@ -867,6 +906,17 @@ class TestEnsemble:
         assert code == 3
         assert capsys.readouterr().err == \
             f"data error: {bad}: no query rows or no gallery columns\n"
+
+    def test_weights_summing_to_inf_exit_3(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        code = main(["ensemble", "--scores", pipeline["scores"], pipeline["scores2"],
+                     "--weights", "1e308,1e308", "--relevance",
+                     os.path.join(pipeline["data"], "relevance_drone2sat.csv"),
+                     "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == \
+            "data error: weights must sum to a positive finite value, got inf\n"
+        assert not out.exists()
 
     def test_weight_count_mismatch_exits_2(self, pipeline, tmp_path):
         code = main(["ensemble", "--scores", pipeline["scores"], pipeline["scores2"],

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from skyalign.dataset import GenConfig, generate
-from skyalign.errors import ManifestError
+from skyalign.errors import ConfigError, ManifestError
 from skyalign.pose_geometry import (
     DEGENERATE_SQ_M2,
     LABEL_HEADER,
@@ -101,8 +101,11 @@ class TestBinning:
             assert bin_of(k * width + width / 2, cfg) == k
 
     def test_bins_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="bins must be >= 2, got 1"):
             LabelConfig(1)
+        with pytest.raises(ConfigError, match=r"bins must be < 2\*\*63, got 9223372036854775808"):
+            LabelConfig(2**63)
+        assert LabelConfig(2**63 - 1).bins == 2**63 - 1
 
     def test_rotate_label_wraps(self):
         cfg = LabelConfig(4)

@@ -408,6 +408,21 @@ class TestTopKExactness:
             if gallery_block == 4096:  # one block holds every row
                 assert 3 <= sum(tied_rows) < len(qrows)
 
+    @pytest.mark.parametrize("n_queries", [257, 513])
+    def test_scores_keep_the_dense_products_bits(self, n_queries):
+        # 257 and 513 rows over blocks of at most 256: a lone 1-row block
+        # would go through gemv, whose scores differ in the last bits
+        rng = np.random.default_rng(0)
+        gallery = EmbeddingSet.from_rows([f"g{i:04d}" for i in range(5000)],
+                                         rng.standard_normal((5000, 64)))
+        queries = EmbeddingSet.from_rows([f"q{i:03d}" for i in range(n_queries)],
+                                         rng.standard_normal((n_queries, 64)))
+        dense = score_table(gallery, queries)
+        column = {gid: j for j, gid in enumerate(dense.gallery_ids)}
+        for ranked, row in zip(top_k(gallery, queries, 10), dense.scores):
+            assert ranked.scores.tobytes() == \
+                row[[column[gid] for gid in ranked.gallery_ids]].tobytes()
+
     def test_sorted_ids_skip_the_copy_and_match_shuffled_ids(self):
         rng = np.random.default_rng(9)
         in_order = dyadic_set(rng, 150, 8, "g")  # ids ascend with the rows
@@ -781,6 +796,13 @@ class TestEnsemble:
         t = table(["q"], ["g0"], [[1.0]])
         with pytest.raises(DataError):
             ensemble([t, t], weights=[1.0, -1.0])
+
+    @pytest.mark.parametrize("fusion", ["score-mean", "reciprocal-rank"])
+    def test_overflowing_weight_sum_rejected(self, fusion):
+        # finite weights whose sum is inf would fuse every w / sum to 0
+        t = table(["q"], ["g0", "g1"], [[1.0, 0.0]])
+        with pytest.raises(DataError, match="positive finite value, got inf"):
+            fuse([t, t], weights=[1e308, 1e308], fusion=fusion)
 
     @pytest.mark.parametrize("fusion", ["score-mean", "reciprocal-rank"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
