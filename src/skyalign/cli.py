@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import math
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -75,13 +76,13 @@ def _float_list(text: str) -> list[float]:
 
 def cmd_gen_data(args) -> None:
     cfg = configio.load_gen_config(_require_file(args.config), {"seed": args.seed})
-    os.makedirs(args.out, exist_ok=True)
-    views, manifest = generate(cfg)
-    binio.write_features(os.path.join(args.out, FEATURES_NAME), *views)
-    write_manifest(manifest, os.path.join(args.out, MANIFEST_NAME))
-    d2s, s2d = relevance_maps(manifest)
-    write_relevance(d2s, os.path.join(args.out, RELEVANCE_D2S_NAME))
-    write_relevance(s2d, os.path.join(args.out, RELEVANCE_S2D_NAME))
+    with _checked_output(args.out, directory=True):
+        views, manifest = generate(cfg)
+        binio.write_features(os.path.join(args.out, FEATURES_NAME), *views)
+        write_manifest(manifest, os.path.join(args.out, MANIFEST_NAME))
+        d2s, s2d = relevance_maps(manifest)
+        write_relevance(d2s, os.path.join(args.out, RELEVANCE_D2S_NAME))
+        write_relevance(s2d, os.path.join(args.out, RELEVANCE_S2D_NAME))
     print(f"wrote {len(views.ids)} views ({cfg.n_buildings} buildings, "
           f"{int(views.masked.sum())} masked) to {args.out}")
 
@@ -100,10 +101,10 @@ def cmd_train(args) -> None:
     features_path = _require_file(os.path.join(args.data, FEATURES_NAME))
     manifest = read_manifest(_require_file(os.path.join(args.data, MANIFEST_NAME)))
     dataset = CrossViewDataset.load(features_path, manifest, cfg.loss.bins)
-    os.makedirs(args.out, exist_ok=True)  # an unusable --out fails before training
-    params, log = train(cfg, dataset)
-    save_checkpoint(params, os.path.join(args.out, CHECKPOINT_NAME))
-    write_train_log(log, os.path.join(args.out, TRAIN_LOG_NAME))
+    with _checked_output(args.out, directory=True):
+        params, log = train(cfg, dataset)
+        save_checkpoint(params, os.path.join(args.out, CHECKPOINT_NAME))
+        write_train_log(log, os.path.join(args.out, TRAIN_LOG_NAME))
     print(f"trained {len(log)} steps; final loss {log[-1].loss_total:.6f}; "
           f"artifacts in {args.out}")
 
@@ -122,7 +123,7 @@ def cmd_embed(args) -> None:
         raise DataError(
             f"feature dim {vectors.shape[1]} != model input dim {params.input_dim}"
         )
-    emb = encode(params, vectors.astype(np.float64))
+    emb = encode(params, vectors)
     EmbeddingSet.from_rows(ids, emb).save(args.out)
     print(f"embedded {len(ids)} views -> {args.out}")
 
@@ -188,17 +189,25 @@ def cmd_ensemble(args) -> None:
 
 
 @contextlib.contextmanager
-def _checked_output(path):
-    """Raise now, before the command's work, the OSError that writing path
-    would raise later; an existing file is left as it is.  If the command
-    then fails, a file created by this check is removed again."""
-    created = not os.path.exists(path)
-    open(path, "a", encoding="utf-8").close()
+def _checked_output(path, directory: bool = False):
+    """Raise now, before the command's work, the OSError that writing the
+    file path (or into the directory path) would raise later; an existing
+    file or directory is left as it is.  If the command then fails, what this
+    check created is removed again: the file, or the outermost directory it
+    made, with everything the command wrote into it."""
+    created = None
+    head = os.path.abspath(path)
+    while not os.path.lexists(head):
+        created, head = head, os.path.dirname(head)
+    if directory:
+        os.makedirs(path, exist_ok=True)
+    else:
+        open(path, "a", encoding="utf-8").close()
     try:
         yield
     except BaseException:
-        if created:
-            os.remove(path)
+        if created is not None:
+            (shutil.rmtree if directory else os.remove)(created)
         raise
 
 

@@ -28,7 +28,7 @@ mod 360, and the relative orientation that defines the label is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -320,31 +320,26 @@ class BatchSampler:
 
 
 def apply_aligned_rotation(batch: TrainBatch, rng: np.random.Generator,
-                           p: float, cfg: LabelConfig) -> TrainBatch:
+                           p: float, cfg: LabelConfig) -> None:
     """Rotate satellite orientation features by whole bin widths, adjusting
-    labels to match.
+    labels to match, in place.
 
     Independently per row with probability p, draw k in {1, ..., bins-1},
     advance the satellite feature angle by k bin widths, and advance the bin
     label (and relative angle) identically; masked rows rotate features but
-    keep the sentinel label.  Returns a new batch, sharing the arrays it
-    does not change with the input; the input is untouched.
+    keep the sentinel label.  Writing into the batch is safe because
+    sample_batch builds every array of a batch by fancy indexing or
+    np.zeros/np.where, so no array is a view of the dataset.
     """
-    sat_inputs = batch.sat_inputs.copy()
-    bins = batch.orientation_bins.copy()
-    sat_angle = batch.sat_angle_deg.copy()
-    relative = batch.relative_angle_deg.copy()
     if p > 0 and batch.size:
         hit = np.flatnonzero(rng.random(batch.size) < p)
         k = rng.integers(1, cfg.bins, size=hit.size)
         step = k * cfg.bin_width_deg
-        sat_angle[hit] = (sat_angle[hit] + step) % 360.0
-        rad = np.radians(sat_angle[hit])
-        sat_inputs[hit, -2] = np.cos(rad)
-        sat_inputs[hit, -1] = np.sin(rad)
+        batch.sat_angle_deg[hit] = (batch.sat_angle_deg[hit] + step) % 360.0
+        rad = np.radians(batch.sat_angle_deg[hit])
+        batch.sat_inputs[hit, -2] = np.cos(rad)
+        batch.sat_inputs[hit, -1] = np.sin(rad)
         live = ~batch.mask[hit]
         rows = hit[live]
-        bins[rows] = rotate_label(bins[rows], k[live], cfg)
-        relative[rows] = (relative[rows] + step[live]) % 360.0
-    return replace(batch, sat_inputs=sat_inputs, orientation_bins=bins,
-                   sat_angle_deg=sat_angle, relative_angle_deg=relative)
+        batch.orientation_bins[rows] = rotate_label(batch.orientation_bins[rows], k[live], cfg)
+        batch.relative_angle_deg[rows] = (batch.relative_angle_deg[rows] + step[live]) % 360.0

@@ -22,7 +22,6 @@ from .errors import FormatError, NormDegenerate, NumericError, check_nbytes
 from .objectives import (
     MODE_CLASSIFICATION,
     MODE_NONE,
-    MODE_REGRESSION,
     LossConfig,
     infonce_with_grad,
     joint,
@@ -171,12 +170,10 @@ def forward_backward(params: ModelParams, batch: TrainBatch, cfg: LossConfig,
             l_orient, d_out = orientation_ce_with_grad(
                 out, batch.orientation_bins, batch.mask, cfg.smoothing
             )
-        elif cfg.orientation_mode == MODE_REGRESSION:
+        else:  # MODE_REGRESSION; LossConfig refuses every other mode
             l_orient, d_out = orientation_mse_with_grad(
                 out, batch.relative_angle_deg, batch.mask
             )
-        else:
-            raise AssertionError(cfg.orientation_mode)
         w = cfg.orientation_weight
         cat = np.concatenate([emb_sat, emb_drone], axis=1)
         grads.head_W[...] = w * (d_out.T @ cat)

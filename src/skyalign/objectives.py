@@ -143,12 +143,6 @@ def infonce_with_grad(emb_sat: np.ndarray, emb_drone: np.ndarray, mask: np.ndarr
     return loss, d_sat, d_drone, d_tau
 
 
-def infonce(emb_sat: np.ndarray, emb_drone: np.ndarray, mask: np.ndarray,
-            tau: float, eps: float) -> float:
-    loss, _, _, _ = infonce_with_grad(emb_sat, emb_drone, mask, tau, eps)
-    return loss
-
-
 def orientation_ce_with_grad(logits: np.ndarray, labels: np.ndarray,
                              mask: np.ndarray, eps: float):
     """Smoothed cross-entropy over unmasked rows; (loss, dlogits).
@@ -173,11 +167,6 @@ def orientation_ce_with_grad(logits: np.ndarray, labels: np.ndarray,
     return loss, dlogits
 
 
-def orientation_ce(logits, labels, mask, eps: float) -> float:
-    loss, _ = orientation_ce_with_grad(logits, labels, mask, eps)
-    return loss
-
-
 def unit_circle_target(angles_deg: np.ndarray) -> np.ndarray:
     """(cos, sin) pairs; this parameterization has no 0/360 seam."""
     rad = np.radians(np.asarray(angles_deg, dtype=float))
@@ -196,11 +185,6 @@ def orientation_mse_with_grad(pred: np.ndarray, angles_deg: np.ndarray, mask: np
     loss = float((diff * diff).sum(axis=1).mean())
     dpred[rows] = 2.0 * diff / rows.size
     return loss, dpred
-
-
-def orientation_mse(pred, angles_deg, mask) -> float:
-    loss, _ = orientation_mse_with_grad(pred, angles_deg, mask)
-    return loss
 
 
 def joint(l_contrastive: float, l_orientation: float, cfg: LossConfig) -> float:

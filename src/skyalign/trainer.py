@@ -95,7 +95,7 @@ def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
 
 
 def adamw_step(params: ModelParams, grads: ModelParams, state: OptimizerState,
-               lr: float, cfg: TrainConfig) -> tuple[ModelParams, OptimizerState]:
+               lr: float, cfg: TrainConfig) -> None:
     """One decoupled-weight-decay Adam update, in place, over params.flat.
 
     Only the three weight matrices are decayed: biases and the temperature
@@ -122,7 +122,6 @@ def adamw_step(params: ModelParams, grads: ModelParams, state: OptimizerState,
         params.temperature -= lr * (state.m_tau / bc1) / (
             math.sqrt(state.v_tau / bc2) + cfg.adam_eps
         )
-    return params, state
 
 
 def train(cfg: TrainConfig, dataset: CrossViewDataset) -> tuple[ModelParams, list[TrainLogRow]]:
@@ -150,12 +149,12 @@ def train(cfg: TrainConfig, dataset: CrossViewDataset) -> tuple[ModelParams, lis
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(total_steps):
             batch = sampler.sample_batch()
-            batch = apply_aligned_rotation(batch, aug_rng, cfg.rotation_prob, label_cfg)
+            apply_aligned_rotation(batch, aug_rng, cfg.rotation_prob, label_cfg)
             lr = lr_at(step, total_steps, cfg)
             total, grads, (l_con, l_orient) = forward_backward(params, batch, cfg.loss, work)
             if not math.isfinite(total):
                 raise NonFiniteLoss(f"loss {total} at step {step}")
-            params, state = adamw_step(params, grads, state, lr, cfg)
+            adamw_step(params, grads, state, lr, cfg)
             log.append(TrainLogRow(step, lr, total, l_con, l_orient))
     return params, log
 

@@ -31,7 +31,7 @@ from skyalign.dataset import (
     generate,
 )
 from skyalign.model import encode, forward_backward, init, orientation_logits
-from skyalign.objectives import LossConfig, infonce, orientation_ce_with_grad
+from skyalign.objectives import LossConfig, infonce_with_grad, orientation_ce_with_grad
 from skyalign.pose_geometry import (
     MASKED_BIN,
     LabelConfig,
@@ -168,7 +168,7 @@ def _unit(rng, n, d):
 
 
 def _infonce_gap(e_s, e_d, mask, tau, eps):
-    mine = infonce(e_s, e_d, mask, tau, eps)
+    mine = infonce_with_grad(e_s, e_d, mask, tau, eps)[0]
     theirs = naive_infonce(e_s, e_d, mask, tau, eps)
     return abs(mine - theirs)
 
@@ -319,9 +319,8 @@ def _masked_head_rows_are_zero(ds):
     and flipping a masked row's label cannot change any parameter gradient."""
     loss = LossConfig(orientation_mode="classification", bins=8)
     sampler = BatchSampler(ds, 64, np.random.default_rng([0, 2]))
-    batch = apply_aligned_rotation(sampler.sample_batch(),
-                                   np.random.default_rng([0, 3]), 0.3,
-                                   LabelConfig(8))
+    batch = sampler.sample_batch()
+    apply_aligned_rotation(batch, np.random.default_rng([0, 3]), 0.3, LabelConfig(8))
     if not batch.mask.any():
         return False
     params = init(np.random.default_rng([0, 1]), ds.input_dim - 2, 64, 64, 8)

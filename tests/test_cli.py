@@ -1,7 +1,9 @@
 """End-to-end command-line tests: every subcommand exercised in-process
 through main(argv), with exit codes, artifact bytes, and env overrides."""
 
+import errno
 import filecmp
+import importlib.util
 import os
 import shutil
 import subprocess
@@ -11,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skyalign import binio
-from skyalign.cli import main
+from skyalign import binio, retrieval_eval
+from skyalign.cli import build_parser, main
 from skyalign.errors import NonFiniteLoss
 from skyalign.model import init, load_checkpoint
 from skyalign.retrieval_eval import EmbeddingSet
@@ -64,6 +66,31 @@ def with_inputs(pipeline, argv, out):
                        "--seeds", "0"],
     }[argv[0]]
     return argv[:1] + inputs + argv[1:] + ["--out", str(out)]
+
+
+def _views_where(views, keep):
+    keep = np.asarray(keep)
+    return binio.Views([i for i, k in zip(views.ids, keep) if k], views.kinds[keep],
+                       views.vectors[keep], views.azimuths[keep], views.masked[keep])
+
+
+def _drones_only(views):
+    return _views_where(views, views.kinds == binio.KIND_DRONE_CODE)
+
+
+def _sats_only(views):
+    return _views_where(views, views.kinds == binio.KIND_SAT_CODE)
+
+
+def _b0000_without_drones(views):
+    return _views_where(views, [k == binio.KIND_SAT_CODE or not i.startswith("b0000_")
+                                for i, k in zip(views.ids, views.kinds)])
+
+
+def _b0000_with_two_sats(views):
+    kinds = views.kinds.copy()
+    kinds[views.ids.index("b0000_d00")] = binio.KIND_SAT_CODE
+    return views._replace(kinds=kinds)
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +166,44 @@ def test_benchmark_tracer_resolves_every_target():
     assert int(proc.stdout) >= 1
 
 
+def _load_module(monkeypatch, name, path):
+    """Execute path as module name, registered in sys.modules for this test only."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_command_lines_parse(monkeypatch, tmp_path):
+    # perfbench/run.py drives the CLI by argv, so a renamed flag or command
+    # fails here rather than in the benchmark; run.py reads its configs from
+    # the repo root
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.chdir(root)
+    bench = os.path.join(root, "perfbench")
+    for name in ("reference", "tracing"):
+        _load_module(monkeypatch, name, os.path.join(bench, f"{name}.py"))
+    run = _load_module(monkeypatch, "perfbench_run", os.path.join(bench, "run.py"))
+    parser = build_parser()
+    for workload in (run.Desk(), run.Scale()):
+        workload.prepare(str(tmp_path), 1)
+        for command in workload.commands(str(tmp_path)):
+            try:
+                parser.parse_args(command.argv)
+            except SystemExit:
+                pytest.fail(f"{workload.name}: {command.argv} does not parse")
+    # the search workload calls top_k with workers=, and times the package's blocks
+    assert retrieval_eval.DEFAULT_QUERY_BLOCK >= 1 and retrieval_eval.DEFAULT_GALLERY_BLOCK >= 1
+    rng = np.random.default_rng(0)
+    gallery = EmbeddingSet.from_rows([f"g{i}" for i in range(30)],
+                                     rng.standard_normal((30, 8), dtype=np.float32))
+    queries = EmbeddingSet.from_rows([f"q{i}" for i in range(4)],
+                                     rng.standard_normal((4, 8), dtype=np.float32))
+    ranked = retrieval_eval.top_k(gallery, queries, run.SEARCH_SHAPE[3], workers=1)
+    assert [len(r.gallery_ids) for r in ranked] == [run.SEARCH_SHAPE[3]] * 4
+
+
 class TestUsageAndExitCodes:
     @pytest.mark.parametrize("argv", [
         ["gen-labels", "--manifest", "m.csv", "--bins", "8", "--out", "l.csv"],
@@ -182,7 +247,7 @@ class TestUsageAndExitCodes:
                  "rel": os.path.join(pipeline["data"], "relevance_drone2sat.csv")}
         assert main([a.format(**names) for a in argv]) == 4
         assert capsys.readouterr().err == f"memory error: {message}\n"
-        assert os.listdir(tmp_path) == (["data"] if argv[0] == "gen-data" else [])
+        assert os.listdir(tmp_path) == []
 
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -312,8 +377,110 @@ class TestUsageAndExitCodes:
         err = capsys.readouterr().err
         assert code == (2 if error == "config" else 4)
         assert err.startswith(f"{error} error: ") and err.count("\n") == 1
-        # gen-data and train make their --out directory before the work fails
-        assert not out.is_file() and (not out.exists() or os.listdir(out) == [])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize("command,last_write", [
+        ("gen-data", "skyalign.cli.write_relevance"),
+        ("train", "skyalign.cli.write_train_log"),
+    ])
+    def test_failed_run_removes_only_an_out_directory_it_made(self, pipeline, tmp_path, capsys,
+                                                              monkeypatch, command, last_write,
+                                                              existing):
+        # the command fails at its last write, when its other files are in --out
+        def disk_full(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(args[-1]))
+
+        monkeypatch.setattr(last_write, disk_full)
+        out = tmp_path / "parent" / "out"
+        if existing:
+            out.mkdir(parents=True)
+            (out / "keep.txt").write_text("kept", encoding="utf-8")
+        assert main(with_inputs(pipeline, [command], out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"io error: No space left on device: {out}") and err.count("\n") == 1
+        if existing:
+            assert (out / "keep.txt").read_text(encoding="utf-8") == "kept"
+        else:
+            assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv,bad,code,err", [
+        (["train", "--config", "{train}", "--data", "{data}"], ("features", _drones_only), 3,
+         "data error: no satellite views in feature set"),
+        (["train", "--config", "{train}", "--data", "{data}"], ("features", _sats_only), 3,
+         "data error: no drone views in feature set"),
+        (["train", "--config", "{train}", "--data", "{data}"],
+         ("features", _b0000_without_drones), 3,
+         "data error: building 'b0000' has no drone views"),
+        (["train", "--config", "{train}", "--data", "{data}"],
+         ("features", _b0000_with_two_sats), 3,
+         "data error: building 'b0000' has two satellite views"),
+        (["gen-labels", "--manifest", "{bad}", "--bins", "8"],
+         ("manifest", lambda b: b.replace(b"b0000_sat,", b"b0000_sat,,", 1)), 3,
+         "data error: {bad}:2: expected 7 fields, got 8"),
+        (["eval", "--gallery", "{sat}", "--queries", "{drone}", "--relevance", "{bad}"],
+         ("rel", lambda b: b.replace(b"b0000_d00,", b"b0000_d00,x,", 1)), 3,
+         "data error: {bad}:2: expected 2 fields"),
+        (["gen-data", "--config", "{bad}"], ("gen", lambda b: b + b"seed 1\n"), 2,
+         "config error: {bad}:8: expected key = value"),
+        (["gen-data", "--config", "{bad}"], ("gen", lambda b: b + b" = 1\n"), 2,
+         "config error: {bad}:8: empty key"),
+        (["gen-data", "--config", "{bad}"], ("gen", lambda b: b + b"seed = 1\n"), 2,
+         "config error: {bad}:8: duplicate key 'seed'"),
+        (["gen-data", "--config", "{bad}"], ("gen", lambda b: b.split(b"\n")[0]), 2,
+         "config error: {bad}: missing keys: views_per_building, latent_dim, noise_sigma, "
+         "fail_prob, seed, bins"),
+        (["ensemble", "--scores", "{scores}", "{bad}", "--relevance", "{rel}"],
+         ("scores2", lambda b: b.replace(b"\nb0000_d00,", b"\nb0000_d00,x", 1)), 3,
+         "data error: {bad}:2: score is not a number"),
+        (["ensemble", "--scores", "{scores}", "{scores2}", "--weights", "a,b",
+          "--relevance", "{rel}"], None, 2,
+         "config error: expected comma-separated numbers, got 'a,b'"),
+        (["ablate-dim", "--config", "{train}", "--data", "{data}", "--seeds", ""], None, 2,
+         "config error: need at least one seed"),
+        (["ablate-bins", "--config", "{train}", "--data", "{data}", "--bins", "x",
+          "--seeds", "0"], None, 2, "config error: bad bins entry 'x'"),
+        (["embed", "--checkpoint", "{ckpt}", "--features", "{features}", "--kind", "sat"],
+         ("features", _drones_only), 3, "data error: no views of kind 'sat' in {features}"),
+        (["embed", "--checkpoint", "{bad}", "--features", "{features}"],
+         ("ckpt", lambda b: b + b"\0"), 3, "data error: {bad}: trailing bytes after temperature"),
+        (["train", "--config", "{bad}", "--data", "{data}"],
+         ("train", lambda b: b.replace(b"peak_lr = 0.01", b"peak_lr = -1")), 2,
+         "config error: peak_lr must be >= 0"),
+        # both loss terms are finite, but their weighted sum overflows
+        (["train", "--config", "{bad}", "--data", "{data}"],
+         ("train", lambda b: b + b"orientation_weight = 1e308\n"), 4,
+         "numeric error: loss inf at step 0"),
+    ], ids=["dataset-no-sats", "dataset-no-drones", "dataset-building-no-drones",
+            "dataset-two-sats", "manifest-fields", "relevance-fields", "config-no-equals",
+            "config-empty-key", "config-duplicate-key", "config-missing-gen-keys",
+            "score-not-a-number", "weights-not-numbers", "seeds-empty", "bins-not-a-number",
+            "embed-no-views-of-kind", "checkpoint-trailing-byte", "peak-lr-negative",
+            "loss-sum-overflows"])
+    def test_bad_input_exits_with_one_line_and_no_output(self, pipeline, tmp_path, capsys,
+                                                         argv, bad, code, err):
+        data = pipeline["data"]
+        names = {"gen": pipeline["gen_cfg"], "train": pipeline["train_cfg"], "data": data,
+                 "features": os.path.join(data, "features.bin"),
+                 "manifest": os.path.join(data, "manifest.csv"),
+                 "rel": os.path.join(data, "relevance_drone2sat.csv"),
+                 "ckpt": os.path.join(pipeline["run"], "checkpoint.ckpt"),
+                 "sat": pipeline["emb"]["sat"], "drone": pipeline["emb"]["drone"],
+                 "scores": pipeline["scores"], "scores2": pipeline["scores2"]}
+        if bad is not None and bad[0] == "features":  # a data directory with edited views
+            names["data"] = str(tmp_path / "data")
+            os.mkdir(names["data"])
+            views = bad[1](binio.read_features(names["features"]))
+            names["features"] = os.path.join(names["data"], "features.bin")
+            binio.write_features(names["features"], *views)
+            shutil.copy(names["manifest"], names["data"])
+        elif bad is not None:  # an edited copy of one input file
+            names["bad"] = str(tmp_path / "bad")
+            Path(names["bad"]).write_bytes(bad[1](Path(names[bad[0]]).read_bytes()))
+        out = tmp_path / "out"
+        assert main([a.format(**names) for a in argv] + ["--out", str(out)]) == code
+        assert capsys.readouterr().err == err.format(**names) + "\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--k", "0"],

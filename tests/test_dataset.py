@@ -379,36 +379,38 @@ class TestAlignedRotation:
 
     def test_p_zero_is_identity(self):
         batch, cfg, _ = self._batch()
-        out = apply_aligned_rotation(batch, np.random.default_rng(0), 0.0, cfg)
-        assert np.array_equal(out.sat_inputs, batch.sat_inputs)
-        assert np.array_equal(out.orientation_bins, batch.orientation_bins)
-        assert out is not batch
+        before = copy.deepcopy(batch)
+        assert apply_aligned_rotation(batch, np.random.default_rng(0), 0.0, cfg) is None
+        _assert_same(batch, before)
 
     def test_forced_single_step(self):
         batch, _, _ = self._batch(bins=4)
         cfg = LabelConfig(4)
-        out = apply_aligned_rotation(batch, _ForcedRng(1), 1.0, cfg)
+        before = copy.deepcopy(batch)
+        apply_aligned_rotation(batch, _ForcedRng(1), 1.0, cfg)
         for i in range(batch.size):
             # satellite orientation block advanced one bin width (90 deg)
-            assert out.sat_angle_deg[i] == pytest.approx(90.0)
-            assert out.sat_inputs[i, -2] == pytest.approx(math.cos(math.radians(90)), abs=1e-12)
-            assert out.sat_inputs[i, -1] == pytest.approx(1.0, abs=1e-12)
+            assert batch.sat_angle_deg[i] == pytest.approx(90.0)
+            assert batch.sat_inputs[i, -2] == pytest.approx(math.cos(math.radians(90)), abs=1e-12)
+            assert batch.sat_inputs[i, -1] == pytest.approx(1.0, abs=1e-12)
             if not batch.mask[i]:
-                assert out.orientation_bins[i] == (batch.orientation_bins[i] + 1) % 4
+                assert batch.orientation_bins[i] == (before.orientation_bins[i] + 1) % 4
 
     def test_masked_label_stays_sentinel(self):
         batch, cfg, _ = self._batch(fail_prob=1.0)
-        out = apply_aligned_rotation(batch, _ForcedRng(2), 1.0, cfg)
-        assert (out.orientation_bins == -1).all()
-        assert (out.sat_angle_deg > 0).all()  # features still rotated
+        apply_aligned_rotation(batch, _ForcedRng(2), 1.0, cfg)
+        assert (batch.orientation_bins == -1).all()
+        assert (batch.sat_angle_deg > 0).all()  # features still rotated
 
-    def test_input_batch_untouched(self):
-        batch, cfg, _ = self._batch()
-        before = batch.sat_inputs.copy()
-        bins_before = batch.orientation_bins.copy()
+    def test_dataset_untouched(self):
+        # rotation writes into the batch, so no batch array may be a view of the dataset
+        batch, cfg, ds = self._batch(fail_prob=0.3)
+        before = copy.deepcopy(vars(ds))
         apply_aligned_rotation(batch, np.random.default_rng(9), 1.0, cfg)
-        assert np.array_equal(batch.sat_inputs, before)
-        assert np.array_equal(batch.orientation_bins, bins_before)
+        assert batch.sat_angle_deg.all()
+        for name, value in before.items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(getattr(ds, name), value, equal_nan=True), name
 
     @pytest.mark.parametrize("bins", [4, 8, 16])
     def test_rotation_soundness(self, bins):
@@ -417,7 +419,7 @@ class TestAlignedRotation:
         batch, cfg, ds = self._batch(bins=bins, fail_prob=0.2, seed=17)
         rng = np.random.default_rng(99)
         for _ in range(3):  # stack several rotations
-            batch = apply_aligned_rotation(batch, rng, 0.8, cfg)
+            apply_aligned_rotation(batch, rng, 0.8, cfg)
         for i in range(batch.size):
             if batch.mask[i]:
                 continue
@@ -483,12 +485,10 @@ class TestMatchesLoopForms:
                     orientation_bins=np.where(mask, -1, ds.drone_bins[batch.drone_rows]),
                     relative_angle_deg=np.where(mask, np.nan,
                                                 ds.drone_azimuth_deg[batch.drone_rows]))
-                untouched = copy.deepcopy(start)
                 rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-                mine = ref = start
+                mine, ref = copy.deepcopy(start), start
                 for _ in range(3):  # stacked rotations start from nonzero angles
-                    mine = apply_aligned_rotation(mine, rng_a, p, cfg)
+                    apply_aligned_rotation(mine, rng_a, p, cfg)
                     ref = loop_aligned_rotation(ref, rng_b, p, cfg)
                     _assert_same(mine, ref)
                     assert rng_a.bit_generator.state == rng_b.bit_generator.state
-                _assert_same(start, untouched)

@@ -10,12 +10,9 @@ import oracles
 from skyalign.errors import AllMasked, ConfigError, DataError, NonFiniteLoss
 from skyalign.objectives import (
     LossConfig,
-    infonce,
     infonce_with_grad,
     joint,
-    orientation_ce,
     orientation_ce_with_grad,
-    orientation_mse,
     orientation_mse_with_grad,
     unit_circle_target,
 )
@@ -34,7 +31,7 @@ class TestInfoNCE:
         # S = I at tau=1, eps=0: every anchor's CE is ln(1 + e^-1... ) i.e.
         # -ln(e / (e + 1)) = ln(1 + 1/e), the same in both directions
         emb = np.eye(2)
-        loss = infonce(emb, emb, NO_MASK2, tau=1.0, eps=0.0)
+        loss = infonce_with_grad(emb, emb, NO_MASK2, tau=1.0, eps=0.0)[0]
         expected = math.log(1.0 + math.exp(-1.0))
         assert loss == pytest.approx(expected, abs=1e-12)
         assert loss == pytest.approx(0.313262, abs=1e-6)
@@ -51,7 +48,7 @@ class TestInfoNCE:
                 mask[int(rng.integers(n))] = False
             tau = float(rng.uniform(0.05, 2.0))
             eps = float(rng.choice([0.0, 0.1, 0.3]))
-            got = infonce(emb_s, emb_d, mask, tau, eps)
+            got = infonce_with_grad(emb_s, emb_d, mask, tau, eps)[0]
             want = oracles.naive_infonce(emb_s.tolist(), emb_d.tolist(),
                                          mask.tolist(), tau, eps)
             assert got == pytest.approx(want, abs=1e-10)
@@ -62,7 +59,7 @@ class TestInfoNCE:
         emb_d = unit_rows(rng, 4, 3)
         for bits in range(15):  # every pattern except all-masked
             mask = np.array([(bits >> i) & 1 == 1 for i in range(4)])
-            got = infonce(emb_s, emb_d, mask, 0.2, 0.1)
+            got = infonce_with_grad(emb_s, emb_d, mask, 0.2, 0.1)[0]
             want = oracles.naive_infonce(emb_s.tolist(), emb_d.tolist(),
                                          mask.tolist(), 0.2, 0.1)
             assert got == pytest.approx(want, abs=1e-10)
@@ -70,8 +67,8 @@ class TestInfoNCE:
     def test_all_masked_raises(self):
         rng = np.random.default_rng(2)
         with pytest.raises(AllMasked):
-            infonce(unit_rows(rng, 3, 4), unit_rows(rng, 3, 4),
-                    np.ones(3, dtype=bool), 0.1, 0.1)
+            infonce_with_grad(unit_rows(rng, 3, 4), unit_rows(rng, 3, 4),
+                              np.ones(3, dtype=bool), 0.1, 0.1)
 
     def test_masked_row_stays_in_denominators(self):
         # masking row j must equal dropping j's two anchor terms while the
@@ -82,7 +79,7 @@ class TestInfoNCE:
         emb_d = unit_rows(rng, n, 4)
         mask = np.zeros(n, dtype=bool)
         mask[2] = True
-        got = infonce(emb_s, emb_d, mask, 0.3, 0.1)
+        got = infonce_with_grad(emb_s, emb_d, mask, 0.3, 0.1)[0]
 
         s = emb_d @ emb_s.T / 0.3
         terms = []
@@ -98,7 +95,7 @@ class TestInfoNCE:
         emb = np.eye(3)
         off = 0.5 * np.roll(np.eye(3), 1, axis=1) + 0.5 * np.eye(3)
         off /= np.linalg.norm(off, axis=1, keepdims=True)
-        loss = infonce(emb, emb, np.zeros(3, dtype=bool), tau=0.01, eps=0.0)
+        loss = infonce_with_grad(emb, emb, np.zeros(3, dtype=bool), tau=0.01, eps=0.0)[0]
         assert loss < 1e-3
 
     def test_smoothing_zero_equals_plain_ce(self):
@@ -106,7 +103,7 @@ class TestInfoNCE:
         emb_s = unit_rows(rng, 4, 5)
         emb_d = unit_rows(rng, 4, 5)
         mask = np.zeros(4, dtype=bool)
-        got = infonce(emb_s, emb_d, mask, 0.5, 0.0)
+        got = infonce_with_grad(emb_s, emb_d, mask, 0.5, 0.0)[0]
         s = emb_d @ emb_s.T / 0.5
         plain = []
         for i in range(4):
@@ -122,8 +119,8 @@ class TestInfoNCE:
         mask = rng.random(n) < 0.3
         mask[0] = False
         perm = rng.permutation(n)
-        base = infonce(emb_s, emb_d, mask, 0.2, 0.1)
-        perm_loss = infonce(emb_s[perm], emb_d[perm], mask[perm], 0.2, 0.1)
+        base = infonce_with_grad(emb_s, emb_d, mask, 0.2, 0.1)[0]
+        perm_loss = infonce_with_grad(emb_s[perm], emb_d[perm], mask[perm], 0.2, 0.1)[0]
         assert perm_loss == pytest.approx(base, abs=1e-12)
 
     def test_temperature_equivalence(self):
@@ -133,13 +130,14 @@ class TestInfoNCE:
         emb_d = unit_rows(rng, 4, 3)
         mask = np.zeros(4, dtype=bool)
         c = 3.0
-        a = infonce(emb_s * c, emb_d, mask, 1.0, 0.1)
-        b = infonce(emb_s, emb_d, mask, 1.0 / c, 0.1)
+        a = infonce_with_grad(emb_s * c, emb_d, mask, 1.0, 0.1)[0]
+        b = infonce_with_grad(emb_s, emb_d, mask, 1.0 / c, 0.1)[0]
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_too_small_batch(self):
         with pytest.raises(DataError):
-            infonce(np.ones((1, 3)), np.ones((1, 3)), np.zeros(1, dtype=bool), 0.1, 0.0)
+            infonce_with_grad(np.ones((1, 3)), np.ones((1, 3)), np.zeros(1, dtype=bool),
+                              0.1, 0.0)
 
     def test_gradient_masked_rows_only_via_denominators(self):
         # a masked row's embedding gradient must equal the denominator-only
@@ -262,7 +260,7 @@ class TestOrientationCE:
         for b in (2, 4, 8):
             logits = np.zeros((3, b))
             labels = np.array([0, 1, b - 1])
-            loss = orientation_ce(logits, labels, np.zeros(3, dtype=bool), 0.0)
+            loss = orientation_ce_with_grad(logits, labels, np.zeros(3, dtype=bool), 0.0)[0]
             assert loss == pytest.approx(math.log(b), abs=1e-12)
 
     def test_all_masked_returns_zero(self):
@@ -273,7 +271,7 @@ class TestOrientationCE:
 
     def test_confident_row_oracle_value(self):
         logits = np.array([[10.0, 0.0, 0.0, 0.0]])
-        got = orientation_ce(logits, np.array([0]), np.zeros(1, dtype=bool), 0.1)
+        got = orientation_ce_with_grad(logits, np.array([0]), np.zeros(1, dtype=bool), 0.1)[0]
         want = oracles.smoothed_ce_row([10.0, 0.0, 0.0, 0.0], 0, 0.1)
         assert got == pytest.approx(want, abs=1e-10)
         assert got == pytest.approx(0.750136, abs=1e-5)
@@ -287,7 +285,7 @@ class TestOrientationCE:
             labels = rng.integers(0, b, size=n)
             mask = rng.random(n) < 0.4
             eps = float(rng.choice([0.0, 0.1]))
-            got = orientation_ce(logits, labels, mask, eps)
+            got = orientation_ce_with_grad(logits, labels, mask, eps)[0]
             want = oracles.naive_orientation_ce(logits, labels, mask, eps)
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -302,25 +300,26 @@ class TestOrientationCE:
 
     def test_out_of_range_label_rejected(self):
         with pytest.raises(DataError):
-            orientation_ce(np.zeros((1, 4)), np.array([4]), np.zeros(1, dtype=bool), 0.0)
+            orientation_ce_with_grad(np.zeros((1, 4)), np.array([4]), np.zeros(1, dtype=bool),
+                                     0.0)
 
 
 class TestOrientationMSE:
     def test_exact_prediction_zero_loss(self):
         angles = np.array([0.0, 90.0, 123.0])
         pred = unit_circle_target(angles)
-        assert orientation_mse(pred, angles, np.zeros(3, dtype=bool)) == 0.0
+        assert orientation_mse_with_grad(pred, angles, np.zeros(3, dtype=bool))[0] == 0.0
 
     def test_zero_prediction_unit_loss(self):
         angles = np.array([10.0, 200.0, 355.0])
         pred = np.zeros((3, 2))
-        loss = orientation_mse(pred, angles, np.zeros(3, dtype=bool))
+        loss = orientation_mse_with_grad(pred, angles, np.zeros(3, dtype=bool))[0]
         assert loss == pytest.approx(1.0, abs=1e-12)
 
     def test_quarter_turn_example(self):
         # target (1, 0) for 0 degrees, prediction (0, 1): squared distance 2
-        loss = orientation_mse(np.array([[0.0, 1.0]]), np.array([0.0]),
-                               np.zeros(1, dtype=bool))
+        loss = orientation_mse_with_grad(np.array([[0.0, 1.0]]), np.array([0.0]),
+                                         np.zeros(1, dtype=bool))[0]
         assert loss == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_oracle_and_masks(self):
@@ -330,7 +329,7 @@ class TestOrientationMSE:
             pred = rng.standard_normal((n, 2))
             angles = rng.uniform(0, 360, size=n)
             mask = rng.random(n) < 0.4
-            got = orientation_mse(pred, angles, mask)
+            got = orientation_mse_with_grad(pred, angles, mask)[0]
             want = oracles.naive_orientation_mse(pred, angles, mask)
             assert got == pytest.approx(want, abs=1e-12)
 

@@ -8,6 +8,7 @@ exact values in any order.  Results are then independent of block size,
 thread count, and BLAS kernel, and ties are exact rather than ulp-close.
 """
 
+import ctypes
 import itertools
 import sys
 import threading
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skyalign import binio, retrieval_eval
+from skyalign import ablations, binio, retrieval_eval
 from skyalign.errors import (
     DataError,
     DimMismatch,
@@ -1144,3 +1145,58 @@ class TestSortedRowRanks:
                for i, q in enumerate(queries.ids)}
         assert evaluate(queries, gallery, rel, [1, 5, 10]) == \
             dense_evaluate(queries, gallery, rel, [1, 5, 10])
+
+
+class _DlInfo(ctypes.Structure):
+    _fields_ = [("dli_fname", ctypes.c_char_p), ("dli_fbase", ctypes.c_void_p),
+                ("dli_sname", ctypes.c_char_p), ("dli_saddr", ctypes.c_void_p)]
+
+
+def blas_thread_getter(setter):
+    """The thread-count getter of the library that holds setter, or None."""
+    dladdr = getattr(ctypes.CDLL(None), "dladdr", None)
+    if dladdr is None:
+        return None
+    dladdr.argtypes = [ctypes.c_void_p, ctypes.POINTER(_DlInfo)]
+    info = _DlInfo()
+    if not dladdr(ctypes.cast(setter, ctypes.c_void_p), ctypes.byref(info)):
+        return None
+    lib = ctypes.CDLL(info.dli_fname.decode())
+    getter = getattr(lib, setter.__name__.replace("_set_", "_get_"), None)
+    if getter is not None:
+        getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter
+
+
+class TestBlasThreadCount:
+    """Scoring runs at the process's BLAS thread count (only sweep workers
+    drop to one), so its bytes must not depend on that count."""
+
+    @pytest.mark.parametrize("nq,dim,ng", [(257, 64, 5_000), (250, 384, 20_000)])
+    def test_scoring_bytes_same_at_one_and_two_threads(self, nq, dim, ng):
+        setter = ablations.blas_thread_setter()
+        getter = None if setter is None else blas_thread_getter(setter)
+        if getter is None:
+            pytest.skip("no BLAS thread setter and getter found")
+        rng = np.random.default_rng(dim)
+        gallery = EmbeddingSet.from_rows([f"g{i:05d}" for i in range(ng)],
+                                         rng.standard_normal((ng, dim), dtype=np.float32))
+        queries = EmbeddingSet.from_rows([f"q{i:03d}" for i in range(nq)],
+                                         rng.standard_normal((nq, dim), dtype=np.float32))
+        relevance = {qid: {f"g{j:05d}" for j in rng.integers(ng, size=3)}
+                     for qid in queries.ids}
+        found = getter()
+        outputs = []
+        try:
+            for threads in (1, 2):
+                setter(threads)
+                if getter() != threads:
+                    pytest.skip(f"the BLAS runs {getter()} threads when set to {threads}")
+                ranked = top_k(gallery, queries, 10)
+                outputs.append((np.array([r.scores for r in ranked]).tobytes(),
+                                [r.gallery_ids for r in ranked],
+                                repr(evaluate(queries, gallery, relevance, [1, 5, 10]))))
+        finally:
+            setter(found)
+        assert getter() == found
+        assert outputs[0] == outputs[1]

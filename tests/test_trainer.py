@@ -105,7 +105,7 @@ class TestAdamWStep:
         params = tiny_params(1.0)
         grads = tiny_grads(1.0)
         cfg = TrainConfig(weight_decay=0.0)
-        adamw_step(params, grads, OptimizerState.fresh(params), 0.1, cfg)
+        assert adamw_step(params, grads, OptimizerState.fresh(params), 0.1, cfg) is None
         expected = 1.0 - 0.1 / (1.0 + 1e-8)
         assert params.W1[0, 0] == pytest.approx(expected, abs=1e-15)
 
