@@ -74,20 +74,42 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
+def _same_file(a, b) -> bool:
+    """a and b resolve to one path, or both exist and are one file."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
+        return False
+
+
+def _distinct_outputs(outputs, inputs) -> None:
+    """Raise ConfigError, before any work, when an output (flag, path) names
+    the same file as a later output or an input; an output whose path is
+    None was not asked for."""
+    outputs = [(f, p) for f, p in outputs if p is not None]
+    for i, (flag, path) in enumerate(outputs):
+        for other, other_path in outputs[i + 1:] + inputs:
+            if _same_file(path, other_path):
+                raise ConfigError(f"{flag} and {other} name the same file: {path}")
+
+
 def cmd_gen_data(args) -> None:
     cfg = configio.load_gen_config(_require_file(args.config), {"seed": args.seed})
-    with _checked_output(args.out, directory=True):
+    with _checked_output(args.out, directory=True) as out:
         views, manifest = generate(cfg)
-        binio.write_features(os.path.join(args.out, FEATURES_NAME), *views)
-        write_manifest(manifest, os.path.join(args.out, MANIFEST_NAME))
+        binio.write_features(out(FEATURES_NAME), *views)
+        write_manifest(manifest, out(MANIFEST_NAME))
         d2s, s2d = relevance_maps(manifest)
-        write_relevance(d2s, os.path.join(args.out, RELEVANCE_D2S_NAME))
-        write_relevance(s2d, os.path.join(args.out, RELEVANCE_S2D_NAME))
+        write_relevance(d2s, out(RELEVANCE_D2S_NAME))
+        write_relevance(s2d, out(RELEVANCE_S2D_NAME))
     print(f"wrote {len(views.ids)} views ({cfg.n_buildings} buildings, "
           f"{int(views.masked.sum())} masked) to {args.out}")
 
 
 def cmd_gen_labels(args) -> None:
+    _distinct_outputs([("--out", args.out)], [("--manifest", args.manifest)])
     label_cfg = LabelConfig(args.bins)
     manifest = read_manifest(_require_file(args.manifest))
     labels = generate_labels(manifest, label_cfg)
@@ -101,15 +123,17 @@ def cmd_train(args) -> None:
     features_path = _require_file(os.path.join(args.data, FEATURES_NAME))
     manifest = read_manifest(_require_file(os.path.join(args.data, MANIFEST_NAME)))
     dataset = CrossViewDataset.load(features_path, manifest, cfg.loss.bins)
-    with _checked_output(args.out, directory=True):
+    with _checked_output(args.out, directory=True) as out:
         params, log = train(cfg, dataset)
-        save_checkpoint(params, os.path.join(args.out, CHECKPOINT_NAME))
-        write_train_log(log, os.path.join(args.out, TRAIN_LOG_NAME))
+        save_checkpoint(params, out(CHECKPOINT_NAME))
+        write_train_log(log, out(TRAIN_LOG_NAME))
     print(f"trained {len(log)} steps; final loss {log[-1].loss_total:.6f}; "
           f"artifacts in {args.out}")
 
 
 def cmd_embed(args) -> None:
+    _distinct_outputs([("--out", args.out)],
+                      [("--checkpoint", args.checkpoint), ("--features", args.features)])
     params = load_checkpoint(_require_file(args.checkpoint))
     ids, kinds, vectors, _, _ = binio.read_features(_require_file(args.features))
     if args.kind != "all":
@@ -153,9 +177,10 @@ def _load_query_gallery(args):
 
 
 def cmd_eval(args) -> None:
-    if args.dump_scores and os.path.realpath(args.dump_scores) == os.path.realpath(args.out):
-        raise ConfigError(f"--out and --dump-scores name the same file: {args.out}")
-    ks = _int_list(args.k, "--k", 1)
+    _distinct_outputs([("--out", args.out), ("--dump-scores", args.dump_scores)],
+                      [("--gallery", args.gallery), ("--queries", args.queries),
+                       ("--relevance", args.relevance)])
+    ks = _settings(_int_list(args.k, "--k", 1), "--k", "k")
     gallery, queries = _load_query_gallery(args)
     relevance = read_relevance(_require_file(args.relevance))
     dump = _checked_output(args.dump_scores) if args.dump_scores else contextlib.nullcontext()
@@ -173,7 +198,9 @@ def cmd_eval(args) -> None:
 def cmd_ensemble(args) -> None:
     if len(args.scores) < 2:
         raise ConfigError("ensemble needs at least two score tables")
-    ks = _int_list(args.k, "--k", 1)
+    _distinct_outputs([("--out", args.out)],
+                      [("--scores", p) for p in args.scores] + [("--relevance", args.relevance)])
+    ks = _settings(_int_list(args.k, "--k", 1), "--k", "k")
     weights = _float_list(args.weights) if args.weights else None
     if weights is not None and len(weights) != len(args.scores):
         raise ConfigError(f"{len(weights)} weights for {len(args.scores)} score tables")
@@ -194,7 +221,13 @@ def _checked_output(path, directory: bool = False):
     file path (or into the directory path) would raise later; an existing
     file or directory is left as it is.  If the command then fails, what this
     check created is removed again: the file, or the outermost directory it
-    made, with everything the command wrote into it."""
+    made, with everything the command wrote into it.
+
+    A directory check yields artefact(name), the temporary path
+    <path>/<name>.partial to write that artefact to.  Only once the command
+    has returned are they all moved to their names, so a failed run into an
+    existing directory leaves its earlier artefacts as they were, and its
+    temporary files are removed."""
     created = None
     head = os.path.abspath(path)
     while not os.path.lexists(head):
@@ -203,9 +236,20 @@ def _checked_output(path, directory: bool = False):
         os.makedirs(path, exist_ok=True)
     else:
         open(path, "a", encoding="utf-8").close()
+    partial = {}
+
+    def artefact(name: str) -> str:
+        partial[name] = os.path.join(path, name + ".partial")
+        return partial[name]
+
     try:
-        yield
+        yield artefact if directory else None
+        for name, tmp in partial.items():
+            os.replace(tmp, os.path.join(path, name))
     except BaseException:
+        for tmp in partial.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
         if created is not None:
             (shutil.rmtree if directory else os.remove)(created)
         raise
@@ -225,9 +269,14 @@ def _run_sweep(args, key: str, flag: str, what: str, parse_settings) -> None:
     """Read a sweep's inputs, then parse_settings(), run ablations.sweep over
     them and write its CSV, with key as the settings column, and print each
     setting's mean R@1."""
+    features_path = os.path.join(args.data, FEATURES_NAME)
+    manifest_path = os.path.join(args.data, MANIFEST_NAME)
+    _distinct_outputs([("--out", args.out)],
+                      [("--config", args.config), (f"--data {FEATURES_NAME}", features_path),
+                       (f"--data {MANIFEST_NAME}", manifest_path)])
     cfg = configio.load_train_config(_require_file(args.config))
-    features_path = _require_file(os.path.join(args.data, FEATURES_NAME))
-    manifest = read_manifest(_require_file(os.path.join(args.data, MANIFEST_NAME)))
+    _require_file(features_path)
+    manifest = read_manifest(_require_file(manifest_path))
     seeds = _settings(_int_list(args.seeds, "--seeds", 0), "--seeds", "seed")
     settings = _settings(parse_settings(), flag, what)
     with _checked_output(args.out):

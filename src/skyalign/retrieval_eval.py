@@ -146,8 +146,9 @@ def _renormalize(matrix: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     """Rows divided by their float64 norms, rounded to float32, into out (new
     by default; out=matrix works in place).  The norms are np.linalg.norm's
     pairwise add.reduce of the squares, so a row's bits do not depend on its
-    chunk.  Chunks are dealt round-robin to this thread and one helper per
-    further usable CPU, up to one thread per 2**22 values.  160 000 x 384 took
+    chunk.  Chunks are dealt round-robin to shares that _map_threads runs on
+    this thread and one helper per further usable CPU, up to one thread per
+    2**22 values.  160 000 x 384 took
     0.20 s on 2 CPUs and 0.34 s on one, against 0.39 s for a chunked astype,
     np.linalg.norm and divide (medians of 9; 2-vCPU x86-64 VM, numpy 2.4.6).
     Desk and scale sets (at most 10 000 x 64) stay on one thread: at 20 000 x
@@ -160,25 +161,7 @@ def _renormalize(matrix: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     scratch = np.empty((n_threads, 2, step, dim))  # two float64 buffers a thread
     shares = [(matrix, out, norms, range(t * step, n, n_threads * step), scratch[t])
               for t in range(n_threads)]
-    errors = []
-
-    def helper(share):
-        try:
-            _normalize_chunks(*share)
-        except BaseException as exc:  # re-raised below, once every thread is joined
-            errors.append(exc)
-
-    helpers = [threading.Thread(target=helper, args=(share,)) for share in shares[1:]]
-    try:
-        for thread in helpers:
-            thread.start()
-        _normalize_chunks(*shares[0])
-    finally:
-        for thread in helpers:
-            if thread.ident is not None:  # started
-                thread.join()
-    if errors:
-        raise errors[0]
+    _map_threads(lambda share: _normalize_chunks(*share), shares, n_threads)
     if not np.isfinite(norms).all():
         row = int(np.argmin(np.isfinite(norms)))
         raise NormDegenerate(f"embedding row {row} is not finite")
@@ -186,6 +169,35 @@ def _renormalize(matrix: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
         row = int(np.argmin(norms))
         raise NormDegenerate(f"embedding row {row} has norm {norms.min():.3e}")
     return out
+
+
+def _map_threads(fn, items, threads: int) -> list:
+    """[fn(item) for item in items], item i on thread i % min(threads, items):
+    thread 0 is this one, the others are helpers joined before this returns.
+    A thread stops at its first exception; the first in item order is raised.
+    Not concurrent.futures: its import raised search peak RSS by 0.36 MB."""
+    n = max(1, min(threads, len(items)))
+    results, errors = [None] * len(items), {}
+
+    def run(t):
+        try:
+            for i in range(t, len(items), n):
+                results[i] = fn(items[i])
+        except BaseException as exc:  # re-raised below, once every helper is joined
+            errors[i] = exc
+
+    helpers = [threading.Thread(target=run, args=(t,)) for t in range(1, n)]
+    try:
+        for thread in helpers:
+            thread.start()
+        run(0)
+    finally:
+        for thread in helpers:
+            if thread.ident is not None:  # started
+                thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _normalize_chunks(matrix, out, norms, starts, scratch) -> None:
@@ -321,7 +333,8 @@ def top_k(gallery: EmbeddingSet, queries: EmbeddingSet, k: int, *,
 
     The gallery is pre-sorted by id so that column order equals id order;
     the block selection and merge then need only preserve column order
-    among equal scores.
+    among equal scores.  Query blocks run here and on workers - 1 helper
+    threads (_map_threads).
     """
     if gallery.dim != queries.dim:
         raise DimMismatch(f"gallery dim {gallery.dim} != query dim {queries.dim}")
@@ -332,16 +345,8 @@ def top_k(gallery: EmbeddingSet, queries: EmbeddingSet, k: int, *,
     qmat = queries.matrix
     blocks = _equal_blocks(qmat.shape[0], query_block)
 
-    def run(span):
-        return _topk_query_block(qmat[span[0]:span[1]], gmat, k, gallery_block)
-
-    if workers <= 1 or len(blocks) <= 1:
-        parts = [run(b) for b in blocks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # not imported on every CLI start
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, blocks))
+    parts = _map_threads(lambda b: _topk_query_block(qmat[b[0]:b[1]], gmat, k, gallery_block),
+                         blocks, workers)
 
     results = []
     row = 0
@@ -482,8 +487,7 @@ def fuse(tables: list[ScoreTable], weights: list[float] | None = None,
     if not 0 < wsum < np.inf:  # an infinite sum would fuse every w / wsum to 0
         raise DataError(f"weights must sum to a positive finite value, got {wsum}")
     base = tables[0]
-    gorder = sorted(range(len(base.gallery_ids)), key=base.gallery_ids.__getitem__)
-    gids = [base.gallery_ids[i] for i in gorder]
+    gids = sorted(base.gallery_ids)
     qids = base.query_ids
     fused = np.zeros((len(qids), len(gids)))
     term = np.empty_like(fused)

@@ -142,7 +142,7 @@ def pipeline(tmp_path_factory):
 
 
 def test_cli_import_leaves_out_subprocess_and_thread_pools():
-    # only the sweeps start processes (by fork) and only top_k(workers > 1) threads
+    # only the sweeps start processes (by fork), and no command needs a thread pool
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import skyalign.cli; "
             "print(sorted({'subprocess', 'concurrent.futures'} & set(sys.modules)))")
@@ -175,16 +175,22 @@ def _load_module(monkeypatch, name, path):
     return module
 
 
-def test_benchmark_command_lines_parse(monkeypatch, tmp_path):
-    # perfbench/run.py drives the CLI by argv, so a renamed flag or command
-    # fails here rather than in the benchmark; run.py reads its configs from
-    # the repo root
+@pytest.fixture
+def bench_run(monkeypatch):
+    """perfbench/run.py loaded as a module, in the repo root, from which it
+    reads its configs."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     monkeypatch.chdir(root)
     bench = os.path.join(root, "perfbench")
     for name in ("reference", "tracing"):
         _load_module(monkeypatch, name, os.path.join(bench, f"{name}.py"))
-    run = _load_module(monkeypatch, "perfbench_run", os.path.join(bench, "run.py"))
+    return _load_module(monkeypatch, "perfbench_run", os.path.join(bench, "run.py"))
+
+
+def test_benchmark_command_lines_parse(bench_run, tmp_path):
+    # perfbench/run.py drives the CLI by argv, so a renamed flag or command
+    # fails here rather than in the benchmark
+    run = bench_run
     parser = build_parser()
     for workload in (run.Desk(), run.Scale()):
         workload.prepare(str(tmp_path), 1)
@@ -202,6 +208,31 @@ def test_benchmark_command_lines_parse(monkeypatch, tmp_path):
                                      rng.standard_normal((4, 8), dtype=np.float32))
     ranked = retrieval_eval.top_k(gallery, queries, run.SEARCH_SHAPE[3], workers=1)
     assert [len(r.gallery_ids) for r in ranked] == [run.SEARCH_SHAPE[3]] * 4
+
+
+def test_benchmark_outputs_pass_its_checks(bench_run, tmp_path, capsys):
+    # the benchmark refuses a change whose outputs fail reference.py's
+    # checks: the desk commands, with their sweeps shrunk, and a small search
+    desk = bench_run.Desk()
+    desk.bins, desk.dims, desk.sweep_seeds = ["8", "none"], ["32"], [0]
+    d = str(tmp_path)
+    desk.prepare(d, 1)
+    for command in desk.commands(d):
+        assert main(command.argv) == 0, (command.argv, capsys.readouterr().err)
+    assert {name: problems for name, problems in desk.check(d) if problems} == {}
+
+    ref = sys.modules["reference"]
+    rng = np.random.default_rng(1)
+    gallery = rng.standard_normal((300, 24), dtype=np.float32)
+    queries = rng.standard_normal((12, 24), dtype=np.float32)
+    k = bench_run.SEARCH_SHAPE[3]
+    ranked = retrieval_eval.top_k(
+        EmbeddingSet.from_rows([f"g{i:06d}" for i in range(300)], gallery),
+        EmbeddingSet.from_rows([f"q{i:04d}" for i in range(12)], queries), k, workers=1)
+    ids = np.array([[int(g[1:]) for g in r.gallery_ids] for r in ranked], dtype=np.int64)
+    scores = np.array([r.scores for r in ranked])
+    ref_ids, ref_scores = ref.search_reference(gallery, queries, k)
+    assert ref.check_search(gallery, queries, ref_ids, ref_scores, ids, scores, k) == []
 
 
 class TestUsageAndExitCodes:
@@ -387,20 +418,25 @@ class TestUsageAndExitCodes:
     def test_failed_run_removes_only_an_out_directory_it_made(self, pipeline, tmp_path, capsys,
                                                               monkeypatch, command, last_write,
                                                               existing):
-        # the command fails at its last write, when its other files are in --out
+        # the command fails at its last write, when its other files are
+        # written; an existing --out holds an earlier run's artefacts, which
+        # stay as they were, with none of the failed run's beside them
         def disk_full(*args):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(args[-1]))
 
-        monkeypatch.setattr(last_write, disk_full)
         out = tmp_path / "parent" / "out"
         if existing:
-            out.mkdir(parents=True)
+            assert main(with_inputs(pipeline, [command], out)) == 0
             (out / "keep.txt").write_text("kept", encoding="utf-8")
-        assert main(with_inputs(pipeline, [command], out)) == 3
+        before = {p.name: p.read_bytes() for p in out.iterdir()} if existing else None
+        capsys.readouterr()
+        monkeypatch.setattr(last_write, disk_full)
+        assert main(with_inputs(pipeline, [command, "--seed", "11"], out)) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"io error: No space left on device: {out}") and err.count("\n") == 1
         if existing:
             assert (out / "keep.txt").read_text(encoding="utf-8") == "kept"
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         else:
             assert os.listdir(tmp_path) == []
 
@@ -1005,6 +1041,20 @@ class TestEval:
                                            "same file: same.csv\n")
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("command", ["eval", "ensemble"])
+    @pytest.mark.parametrize("k,err", [("1,1", "--k repeats 1"), ("5,1,5", "--k repeats 5"),
+                                       ("", "need at least one k"),
+                                       (",", "need at least one k")])
+    def test_repeated_or_empty_k_exits_2(self, tmp_path, capsys, monkeypatch, command, k, err):
+        # the check comes before any input is read: these inputs do not exist
+        monkeypatch.chdir(tmp_path)
+        inputs = {"eval": ["--gallery", "g.bin", "--queries", "q.bin"],
+                  "ensemble": ["--scores", "a.csv", "b.csv"]}[command]
+        assert main([command, *inputs, "--relevance", "r.csv", "--k", k,
+                     "--out", "m.csv"]) == 2
+        assert capsys.readouterr().err == f"config error: {err}\n"
+        assert os.listdir(tmp_path) == []
+
     def test_bad_k_list_exits_2(self, pipeline, tmp_path):
         code = main(["eval", "--gallery", pipeline["emb"]["sat"],
                      "--queries", pipeline["emb"]["drone"],
@@ -1012,6 +1062,59 @@ class TestEval:
                      os.path.join(pipeline["data"], "relevance_drone2sat.csv"),
                      "--k", "1,banana", "--out", str(tmp_path / "m.csv")])
         assert code == 2
+
+    # every input of every file-output command, each named by one of its
+    # outputs; each input file is named after its flag
+    CLASH_ARGV = {
+        "gen-labels": ["--manifest", "manifest", "--bins", "8"],
+        "embed": ["--checkpoint", "checkpoint", "--features", "features"],
+        "eval": ["--gallery", "gallery", "--queries", "queries", "--relevance", "relevance"],
+        "ensemble": ["--scores", "scores", "scores2", "--relevance", "relevance"],
+        "ablate-bins": ["--config", "config", "--data", "data", "--seeds", "0"],
+        "ablate-dim": ["--config", "config", "--data", "data", "--seeds", "0"],
+    }
+
+    @pytest.mark.parametrize("command,out_flag,in_flag,name", [
+        ("gen-labels", "--out", "--manifest", "manifest"),
+        ("embed", "--out", "--checkpoint", "checkpoint"),
+        ("embed", "--out", "--features", "features"),
+        *(("eval", out_flag, f"--{name}", name)
+          for out_flag in ("--out", "--dump-scores")
+          for name in ("gallery", "queries", "relevance")),
+        ("ensemble", "--out", "--scores", "scores"),
+        ("ensemble", "--out", "--scores", "scores2"),
+        ("ensemble", "--out", "--relevance", "relevance"),
+        *((command, "--out", in_flag, name)
+          for command in ("ablate-bins", "ablate-dim")
+          for in_flag, name in (("--config", "config"),
+                                ("--data features.bin", "data/features.bin"),
+                                ("--data manifest.csv", "data/manifest.csv"))),
+    ])
+    @pytest.mark.parametrize("link", ["same", "hard link"])
+    def test_output_naming_an_input_exits_2(self, tmp_path, capsys, monkeypatch, command,
+                                            out_flag, in_flag, name, link):
+        # the check comes before any input is read, so the inputs need not parse
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data").mkdir()
+        names = ["manifest", "checkpoint", "features", "gallery", "queries", "relevance",
+                 "scores", "scores2", "config", "data/features.bin", "data/manifest.csv"]
+        for n in names:
+            (tmp_path / n).write_bytes(f"input {n}\n".encode())
+        target = name
+        if link == "hard link":
+            target = "linked"
+            os.link(tmp_path / name, tmp_path / target)
+        argv = [command, *self.CLASH_ARGV[command]]
+        outputs = {"--out": "out.csv", **({"--dump-scores": "dump.csv"} if command == "eval"
+                                          else {})}
+        outputs[out_flag] = target
+        listing = sorted(os.listdir(tmp_path))
+        assert main([*argv, *(x for kv in outputs.items() for x in kv)]) == 2
+        assert capsys.readouterr().err == (f"config error: {out_flag} and {in_flag} name the "
+                                           f"same file: {target}\n")
+        for n in names:
+            assert (tmp_path / n).read_bytes() == f"input {n}\n".encode()
+        assert sorted(os.listdir(tmp_path)) == listing
 
 
 class TestEnsemble:

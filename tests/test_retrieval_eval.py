@@ -12,6 +12,7 @@ import ctypes
 import itertools
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -277,6 +278,51 @@ class TestThreadedRenormalize:
         monkeypatch.setattr(retrieval_eval.os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(retrieval_eval.threading, "Thread", no_thread)
         assert _renormalize(m).tobytes() == ref.tobytes()
+
+
+class TestMapThreads:
+    def test_first_error_in_item_order_after_every_call_ends(self):
+        ended = []
+        slow_started = threading.Event()
+
+        def call(item):
+            if item == 0:  # fails while item 1 still runs
+                slow_started.wait(5)
+                raise ValueError("item 0")
+            if item == 1:
+                slow_started.set()
+                time.sleep(0.2)
+            elif item == 2:
+                raise KeyError("item 2")
+            ended.append(item)
+            return item
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="item 0"):
+            retrieval_eval._map_threads(call, [0, 1, 2, 3], 3)
+        assert 1 in ended and threading.active_count() == before
+
+    def test_results_in_item_order(self):
+        assert retrieval_eval._map_threads(lambda i: i * i, [3, 1, 2], 2) == [9, 1, 4]
+        assert retrieval_eval._map_threads(lambda i: i * i, [3, 1, 2], 1) == [9, 1, 4]
+        assert retrieval_eval._map_threads(lambda i: i, [], 4) == []
+
+    def test_top_k_workers_give_one_workers_bytes(self):
+        rng = np.random.default_rng(23)
+        gallery = EmbeddingSet.from_rows([f"g{i:04d}" for i in range(700)],
+                                         rng.standard_normal((700, 48)))
+        queries = EmbeddingSet.from_rows([f"q{i:03d}" for i in range(90)],
+                                         rng.standard_normal((90, 48)))
+
+        def run(workers):  # five or more query blocks of at most 16 rows
+            ranked = top_k(gallery, queries, 7, gallery_block=128, query_block=16,
+                           workers=workers)
+            return [(r.query_id, r.gallery_ids, r.scores.tobytes()) for r in ranked]
+
+        assert len(retrieval_eval._equal_blocks(90, 16)) >= 5
+        ref = run(1)
+        for workers in (2, 3):
+            assert run(workers) == ref
 
 
 class TestTopKExactness:
