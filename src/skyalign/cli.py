@@ -29,11 +29,11 @@ from .retrieval_eval import (
     FUSION_RECIPROCAL_RANK,
     FUSION_SCORE_MEAN,
     ScoreTable,
+    check_weights,
     evaluate,
-    fuse,
+    fused_metrics,
     read_relevance,
     score_table,
-    table_metrics,
     truncate_dim,
     write_metrics,
     write_relevance,
@@ -202,12 +202,16 @@ def cmd_ensemble(args) -> None:
                       [("--scores", p) for p in args.scores] + [("--relevance", args.relevance)])
     ks = _settings(_int_list(args.k, "--k", 1), "--k", "k")
     weights = _float_list(args.weights) if args.weights else None
-    if weights is not None and len(weights) != len(args.scores):
-        raise ConfigError(f"{len(weights)} weights for {len(args.scores)} score tables")
+    if weights is not None:
+        if len(weights) != len(args.scores):
+            raise ConfigError(f"{len(weights)} weights for {len(args.scores)} score tables")
+        check_weights(weights, len(weights))
+    for path in [*args.scores, args.relevance]:  # before any table is parsed
+        _require_file(path)
     with _checked_output(args.out):
-        tables = [ScoreTable.load(_require_file(p)) for p in args.scores]
-        relevance = read_relevance(_require_file(args.relevance))
-        rows = table_metrics(fuse(tables, weights, args.fusion), relevance, ks)
+        tables = [ScoreTable.load(p) for p in args.scores]
+        relevance = read_relevance(args.relevance)
+        rows = fused_metrics(tables, relevance, ks, weights, args.fusion)
         write_metrics(rows, args.out)
     for metric, k, value in rows:
         label = f"{metric}@{k}" if k else metric

@@ -82,13 +82,16 @@ def check_nbytes(nbytes: int, what: str) -> None:
 
 @contextmanager
 def open_text(path, error=DataError):
-    """Open path as UTF-8 text for csv; a byte that does not decode, wherever
+    """Open path as UTF-8 text for csv; a byte that does not decode, or a
+    record csv cannot read (a field over csv.field_size_limit()), wherever
     the reader meets it, raises error naming the file."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             yield fh
     except UnicodeDecodeError:
         raise error(f"{path}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise error(f"{path}: {exc}") from None
 
 
 def write_csv(path, header, rows) -> None:

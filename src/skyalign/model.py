@@ -28,10 +28,12 @@ from .objectives import (
     orientation_ce_with_grad,
     orientation_mse_with_grad,
 )
+from .retrieval_eval import _equal_blocks
 
 DEFAULT_TAU = 0.07
 NORM_FLOOR = 1e-12
 _FIELDS = ("W1", "b1", "W2", "b2", "head_W", "head_b")  # CKP1's array order
+_ENCODE_ROWS = 1024  # rows per encode block at most
 
 
 class ModelParams:
@@ -103,23 +105,33 @@ def init(rng: np.random.Generator, latent_dim: int, hidden: int, embed: int,
     )
 
 
-def _forward(params: ModelParams, x: np.ndarray):
-    """Shared-branch forward pass with caches for the backward pass."""
+def _forward(params: ModelParams, x: np.ndarray, first_row: int = 0):
+    """Shared-branch forward pass with caches for the backward pass; x's
+    rows are numbered from first_row in a degenerate row's error."""
     z1 = x @ params.W1.T + params.b1
     a = np.maximum(z1, 0.0)
     z2 = a @ params.W2.T + params.b2
     norms = np.linalg.norm(z2, axis=1, keepdims=True)
     if norms.size and norms.min() < NORM_FLOOR:
-        row = int(np.argmin(norms))
+        row = first_row + int(np.argmin(norms))
         raise NormDegenerate(f"pre-normalization row {row} has norm {norms.min():.3e}")
     emb = z2 / norms
     return emb, (x, z1, a, norms, emb)
 
 
 def encode(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Unit-norm embeddings: L2-normalize(W2 relu(W1 x + b1) + b2) rowwise."""
-    emb, _ = _forward(params, np.asarray(x, dtype=float))
-    return emb
+    """Unit-norm embeddings: L2-normalize(W2 relu(W1 x + b1) + b2) rowwise,
+    as float64.  The rows go through _forward in equal blocks of at most
+    _ENCODE_ROWS (_equal_blocks), each converted to float64 on its own, so
+    the hidden activations of all rows never exist at once.  Blocks are
+    equal because a lone 1-row block would go through gemv and change that
+    row's bits; blocks of two rows or more gave one _forward call's bits
+    (1 to 10 000 rows, three widths; OpenBLAS on 2-vCPU x86-64)."""
+    x = np.asarray(x)
+    out = np.empty((len(x), params.embed_dim))
+    for r0, r1 in _equal_blocks(len(x), _ENCODE_ROWS):
+        out[r0:r1] = _forward(params, np.asarray(x[r0:r1], dtype=float), r0)[0]
+    return out
 
 
 def orientation_logits(params: ModelParams, emb_sat: np.ndarray,

@@ -31,23 +31,29 @@ the ids before the normalized rows exist.  Building that benchmark's
 with one thread and numpy's temporaries (traced, seed 7; same VM).
 
 R@K and AP come from the rank of each relevant item: 1 + the scores above
-it + the equal ones in earlier (lower-id) columns.  table_metrics counts
-ranks in a dense ScoreTable.  evaluate scores the queries in blocks of at
-most max(DEFAULT_QUERY_BLOCK, 2**20 // gallery size) rows into one reused
-buffer and keeps only each relevant pair's rank, so its memory is bounded
-by that buffer: it grows with the gallery, not with the query count, and
-for at most DEFAULT_QUERY_BLOCK queries the buffer is the whole table.
-Both count ranks by gathering 2**20 scores at a time.  evaluate, and top_k
-under its query_block cap, split the queries into equal blocks, sizes
-differing by at most 1 (_equal_blocks), because the BLAS kernel can depend on
-the block's row count: a lone 1-row block would go through gemv, whose
-scores differ in the last bits from the dense product (and so did AP, at a
-160 000 x 384 gallery), while blocks of 2 to 30 rows gave the dense
-product's bits.  With equal blocks, each is at least half the row cap when
-there are several, so a 1-row block comes only from a single query, whose
-dense product is one row too.  At 160 000 x 384 gallery rows and 1 000
-queries, evaluate's tracemalloc peak is 170 MB against 685 MB for the dense
-table.
+it + the equal ones in earlier (lower-id) columns.  One scan, _scan_metrics,
+counts those ranks block by block in score rows its three callers supply
+and keeps only the ranks.  table_metrics passes a dense ScoreTable as one
+block.  evaluate scores the queries in blocks of at most
+max(DEFAULT_QUERY_BLOCK, 2**20 // gallery size) rows into one reused
+buffer, so its memory grows with the gallery, not with the query count,
+and for at most DEFAULT_QUERY_BLOCK queries the buffer is the whole table.
+fused_metrics fuses the tables with fuse's kernel (_fuser) in blocks of at
+most min(DEFAULT_QUERY_BLOCK, 2**20 // gallery size) rows, at least one,
+into two reused buffers, so no dense fused table or rank matrix exists.
+The scan counts ranks by gathering 2**20 scores at a time.
+
+evaluate, fused_metrics, model.encode, and top_k under its query_block
+cap, split their rows into equal blocks, sizes differing by at most 1
+(_equal_blocks).  For matrix products that matters, because the BLAS
+kernel can depend on the block's row count: a lone 1-row block would go
+through gemv, whose scores differ in the last bits from the dense product
+(and so did AP, at a 160 000 x 384 gallery), while blocks of 2 to 30 rows
+gave the dense product's bits.  With equal blocks, each is at least half
+the row cap when there are several, so a 1-row block comes only from a
+single row, whose dense product is one row too.  At 160 000 x 384 gallery
+rows and 1 000 queries, evaluate's tracemalloc peak is 170 MB against
+685 MB for the dense table.
 
 A rank is counted one of two ways, chosen per call by the relevant pairs
 per query row (_count_ranks).  Below _SORT_FROM = 4 on average, each pair's
@@ -96,7 +102,7 @@ from .errors import (
 
 DEFAULT_GALLERY_BLOCK = 8192
 DEFAULT_QUERY_BLOCK = 256
-_BLOCK_VALUES = 1 << 20  # scores per rank gather; an evaluate block holds max(this, DEFAULT_QUERY_BLOCK rows)
+_BLOCK_VALUES = 1 << 20  # scores per rank gather and fused_metrics block; an evaluate block may hold more
 _SORT_FROM = 4  # relevant pairs per score row from which _count_ranks sorts each row once
 
 
@@ -315,6 +321,12 @@ def _equal_blocks(n: int, cap: int) -> list[tuple[int, int]]:
     return [(b * n // count, (b + 1) * n // count) for b in range(count)]
 
 
+def _block_rows(width: int) -> int:
+    """Rows of at most DEFAULT_QUERY_BLOCK and _BLOCK_VALUES scores, at least
+    one: a fused_metrics block, and ScoreTable.load's first capacity."""
+    return max(1, min(DEFAULT_QUERY_BLOCK, _BLOCK_VALUES // max(1, width)))
+
+
 def _id_ordered(gallery: EmbeddingSet) -> tuple[list[str], np.ndarray]:
     """Gallery ids ascending and the C-contiguous rows in that order; rows
     whose ids are already sorted are not copied."""
@@ -421,6 +433,10 @@ class ScoreTable:
 
     @classmethod
     def load(cls, path) -> "ScoreTable":
+        """Each row is parsed into one float64 array that starts at
+        _block_rows(gallery size) rows, doubles when full and is cut to the
+        rows read at the end (ndarray.resize reallocates), so no list of rows
+        is stacked."""
         with open_text(path) as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -428,22 +444,26 @@ class ScoreTable:
                 raise DataError(f"{path}: bad score table header")
             gallery_ids = header[1:]
             query_ids = []
-            rows = []
+            scores = np.empty((_block_rows(len(gallery_ids)), len(gallery_ids)))
             for lineno, rec in enumerate(reader, start=2):
                 if len(rec) != len(header):
                     raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
+                n = len(query_ids)
+                if n == len(scores):
+                    scores.resize((2 * n, len(gallery_ids)), refcheck=False)
                 try:
-                    rows.append(np.fromiter(map(float, rec[1:]), np.float64, len(gallery_ids)))
+                    scores[n] = np.fromiter(map(float, rec[1:]), np.float64, len(gallery_ids))
                 except ValueError:
                     raise DataError(f"{path}:{lineno}: score is not a number") from None
-                if not np.isfinite(rows[-1]).all():
+                if not np.isfinite(scores[n]).all():
                     raise DataError(f"{path}:{lineno}: score is not finite")
                 query_ids.append(rec[0])
         if not query_ids or not gallery_ids:
             raise DataError(f"{path}: no query rows or no gallery columns")
         if len(set(query_ids)) < len(query_ids) or len(set(gallery_ids)) < len(gallery_ids):
             raise DataError(f"{path}: duplicate query or gallery ids")
-        return cls(query_ids, gallery_ids, np.stack(rows))
+        scores.resize((len(query_ids), len(gallery_ids)), refcheck=False)
+        return cls(query_ids, gallery_ids, scores)
 
 
 def score_table(gallery: EmbeddingSet, queries: EmbeddingSet) -> ScoreTable:
@@ -467,46 +487,75 @@ def _rank_matrix(scores: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def check_weights(weights: list[float], n_tables: int) -> float:
+    """The sum of one weight per table; DataError unless every weight and
+    the sum are finite and the sum is positive."""
+    if len(weights) != n_tables:
+        raise DataError(f"{len(weights)} weights for {n_tables} tables")
+    if not np.isfinite(weights).all():
+        raise DataError(f"weights must be finite, got {weights}")
+    wsum = float(sum(weights))
+    if not 0 < wsum < np.inf:  # an infinite sum would fuse every w / wsum to 0
+        raise DataError(f"weights must sum to a positive finite value, got {wsum}")
+    return wsum
+
+
+def _positions(ids: list[str], order: list[str]) -> np.ndarray:
+    """The index in ids of each id of order."""
+    pos = {x: i for i, x in enumerate(ids)}
+    return np.array([pos[x] for x in order], dtype=np.intp)
+
+
+def _fuser(tables: list[ScoreTable], weights: list[float] | None, fusion: str):
+    """Check and align the tables once for fuse: (query ids, gallery ids in
+    id order, fill), where fill(q0, q1, out, term) writes the fused scores of
+    query rows q0:q1 into out, using term as scratch of out's shape, and
+    returns out.  Every score is fused as the whole table would fuse it."""
+    if len(tables) < 1:
+        raise ValueError("need at least one score table")
+    if weights is None:
+        weights = [1.0] * len(tables)
+    wsum = check_weights(weights, len(tables))
+    if fusion not in (FUSION_SCORE_MEAN, FUSION_RECIPROCAL_RANK):
+        raise ValueError(f"unknown fusion {fusion!r}")
+    qids, gids = tables[0].query_ids, sorted(tables[0].gallery_ids)
+    qsorted = sorted(qids)
+    parts = []  # (scores, row positions or None, column positions or None, weight)
+    for tab, w in zip(tables, weights):
+        if sorted(tab.query_ids) != qsorted or sorted(tab.gallery_ids) != gids:
+            raise IdMismatch("score tables cover different query/gallery ids")
+        rows = None if tab.query_ids == qids else _positions(tab.query_ids, qids)
+        cols = None if tab.gallery_ids == gids else _positions(tab.gallery_ids, gids)
+        parts.append((tab.scores, rows, cols, w / wsum if fusion == FUSION_SCORE_MEAN else w))
+
+    def fill(q0: int, q1: int, out: np.ndarray, term: np.ndarray) -> np.ndarray:
+        out.fill(0.0)
+        for scores, rows, cols, w in parts:
+            block = scores[q0:q1] if rows is None else scores[rows[q0:q1]]
+            if cols is not None:
+                block = block[:, cols]
+            if fusion == FUSION_SCORE_MEAN:
+                np.multiply(w, block, out=term)
+            else:
+                np.divide(w, np.add(_RRF_OFFSET, _rank_matrix(block), out=term), out=term)
+            out += term
+        return out
+
+    return qids, gids, fill
+
+
 def fuse(tables: list[ScoreTable], weights: list[float] | None = None,
          fusion: str = FUSION_SCORE_MEAN) -> ScoreTable:
     """Fuse per-model score tables into one, gallery columns in id order.
 
     score-mean averages the raw scores (weighted); reciprocal-rank sums
     w/(60+rank).  All tables must cover identical query and gallery id
-    sets; columns and rows are aligned by id before fusing.
+    sets; columns and rows are aligned by id before fusing.  This is
+    fused_metrics' block kernel (_fuser) applied to all rows at once.
     """
-    if len(tables) < 1:
-        raise ValueError("need at least one score table")
-    if weights is None:
-        weights = [1.0] * len(tables)
-    if len(weights) != len(tables):
-        raise DataError(f"{len(weights)} weights for {len(tables)} tables")
-    if not np.isfinite(weights).all():
-        raise DataError(f"weights must be finite, got {weights}")
-    wsum = float(sum(weights))
-    if not 0 < wsum < np.inf:  # an infinite sum would fuse every w / wsum to 0
-        raise DataError(f"weights must sum to a positive finite value, got {wsum}")
-    base = tables[0]
-    gids = sorted(base.gallery_ids)
-    qids = base.query_ids
-    fused = np.zeros((len(qids), len(gids)))
-    term = np.empty_like(fused)
-    for tab, w in zip(tables, weights):
-        if sorted(tab.query_ids) != sorted(qids) or sorted(tab.gallery_ids) != sorted(gids):
-            raise IdMismatch("score tables cover different query/gallery ids")
-        aligned = tab.scores
-        if tab.query_ids != qids or tab.gallery_ids != gids:
-            qpos = {q: i for i, q in enumerate(tab.query_ids)}
-            gpos = {g: j for j, g in enumerate(tab.gallery_ids)}
-            aligned = aligned[np.ix_([qpos[q] for q in qids], [gpos[g] for g in gids])]
-        if fusion == FUSION_SCORE_MEAN:
-            np.multiply(w / wsum, aligned, out=term)
-        elif fusion == FUSION_RECIPROCAL_RANK:
-            np.divide(w, np.add(_RRF_OFFSET, _rank_matrix(aligned), out=term), out=term)
-        else:
-            raise ValueError(f"unknown fusion {fusion!r}")
-        fused += term
-    return ScoreTable(list(qids), gids, fused)
+    qids, gids, fill = _fuser(tables, weights, fusion)
+    fused = np.empty((len(qids), len(gids)))
+    return ScoreTable(list(qids), gids, fill(0, len(qids), fused, np.empty_like(fused)))
 
 
 def ensemble(tables: list[ScoreTable], weights: list[float] | None = None,
@@ -618,12 +667,19 @@ def _count_ranks(scores: np.ndarray, qrow: np.ndarray, rcol: np.ndarray,
                 out[p] += np.count_nonzero(scores[qrow[p], :rcol[p]] == v[p])
 
 
-def _rank_metrics(qrow: np.ndarray, rank: np.ndarray, n_queries: int,
-                  ks: list[int]) -> list[tuple[str, str, float]]:
-    """R@k per k and mean AP from each relevant pair's rank."""
+def _scan_metrics(qrow: np.ndarray, rcol: np.ndarray, blocks: list[tuple[int, int]],
+                  score_rows, ks: list[int]) -> list[tuple[str, str, float]]:
+    """R@k per k and mean AP from the rank of each relevant pair (score row
+    qrow[i], column rcol[i], qrow ascending), counted block by block in the
+    rows q0:q1 that score_rows(q0, q1) returns for each (q0, q1) of blocks,
+    which cover every query row in order."""
+    rank = np.empty(len(qrow), dtype=np.int64)
+    for q0, q1 in blocks:
+        p0, p1 = np.searchsorted(qrow, [q0, q1])
+        _count_ranks(score_rows(q0, q1), qrow[p0:p1] - q0, rcol[p0:p1], rank[p0:p1])
     rank = rank[np.lexsort((rank, qrow))]
     hit = np.arange(len(qrow)) - np.searchsorted(qrow, qrow)
-    prec = np.zeros((n_queries, hit.max(initial=0) + 1))
+    prec = np.zeros((blocks[-1][1], hit.max(initial=0) + 1))
     prec[qrow, hit] = (hit + 1) / rank  # summed in rank order, as average_precision does
     ap = np.cumsum(prec, axis=1)[:, -1] / np.bincount(qrow, minlength=len(prec))
     rows = [("recall", str(k), float(np.mean(rank[hit == 0] <= k))) for k in ks]
@@ -634,11 +690,25 @@ def table_metrics(table: ScoreTable, relevance: dict[str, set[str]],
                   ks: list[int]) -> list[tuple[str, str, float]]:
     """metrics_from_rankings' rows from the rank of each relevant item: 1 +
     the items scoring higher + the equal-scoring ones in earlier columns, which
-    is top_k's tie rule when gallery columns are in ascending id order."""
+    is top_k's tie rule when gallery columns are in ascending id order.  The
+    table is scanned as one block."""
     qrow, rcol = _relevant_pairs(table.query_ids, table.gallery_ids, relevance, ks)
-    rank = np.empty(len(qrow), dtype=np.int64)
-    _count_ranks(table.scores, qrow, rcol, rank)
-    return _rank_metrics(qrow, rank, len(table.query_ids), ks)
+    return _scan_metrics(qrow, rcol, [(0, len(table.query_ids))], lambda q0, q1: table.scores, ks)
+
+
+def fused_metrics(tables: list[ScoreTable], relevance: dict[str, set[str]], ks: list[int],
+                  weights: list[float] | None = None,
+                  fusion: str = FUSION_SCORE_MEAN) -> list[tuple[str, str, float]]:
+    """table_metrics(fuse(tables, weights, fusion), relevance, ks), fused and
+    ranked in equal query blocks of at most _block_rows(gallery size) rows
+    in two reused buffers, so no dense fused table is built."""
+    qids, gids, fill = _fuser(tables, weights, fusion)
+    qrow, rcol = _relevant_pairs(qids, gids, relevance, ks)
+    nq = len(qids)
+    blocks = _equal_blocks(nq, _block_rows(len(gids)))
+    out, term = np.empty((2, -(-nq // len(blocks)), len(gids)))  # the largest block's rows
+    return _scan_metrics(qrow, rcol, blocks,
+                         lambda q0, q1: fill(q0, q1, out[:q1 - q0], term[:q1 - q0]), ks)
 
 
 def evaluate(queries: EmbeddingSet, gallery: EmbeddingSet,
@@ -653,12 +723,8 @@ def evaluate(queries: EmbeddingSet, gallery: EmbeddingSet,
     blocks = _equal_blocks(nq, max(DEFAULT_QUERY_BLOCK, _BLOCK_VALUES // max(1, len(gids))))
     buf = np.empty((-(-nq // len(blocks)), len(gids)),  # the largest block's rows
                    dtype=np.result_type(queries.matrix, gmat))
-    rank = np.empty(len(qrow), dtype=np.int64)
-    for q0, q1 in blocks:
-        p0, p1 = np.searchsorted(qrow, [q0, q1])
-        scores = np.matmul(queries.matrix[q0:q1], gmat.T, out=buf[:q1 - q0])
-        _count_ranks(scores, qrow[p0:p1] - q0, rcol[p0:p1], rank[p0:p1])
-    return _rank_metrics(qrow, rank, nq, ks)
+    return _scan_metrics(qrow, rcol, blocks, lambda q0, q1: np.matmul(
+        queries.matrix[q0:q1], gmat.T, out=buf[:q1 - q0]), ks)
 
 
 def write_metrics(rows: list[tuple[str, str, float]], path) -> None:

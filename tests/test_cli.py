@@ -235,6 +235,17 @@ def test_benchmark_outputs_pass_its_checks(bench_run, tmp_path, capsys):
     assert ref.check_search(gallery, queries, ref_ids, ref_scores, ids, scores, k) == []
 
 
+def test_scale_benchmark_outputs_pass_its_checks(bench_run, tmp_path, capsys):
+    # the scale workload's commands as the benchmark runs them (1 000
+    # buildings, batch 512), so its output checks hold for train, embed and eval
+    scale = bench_run.Scale()
+    d = str(tmp_path)
+    scale.prepare(d, 1)
+    for command in scale.commands(d):
+        assert main(command.argv) == 0, (command.argv, capsys.readouterr().err)
+    assert {name: problems for name, problems in scale.check(d) if problems} == {}
+
+
 class TestUsageAndExitCodes:
     @pytest.mark.parametrize("argv", [
         ["gen-labels", "--manifest", "m.csv", "--bins", "8", "--out", "l.csv"],
@@ -626,6 +637,37 @@ class TestUsageAndExitCodes:
         assert err.startswith(prefix) and err.endswith(": not UTF-8 text\n")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["eval", "ensemble", "gen-labels", "train"])
+    def test_field_over_csv_limit_exits_3(self, pipeline, tmp_path, capsys, command):
+        # csv refuses a field over csv.field_size_limit() (131 072 characters)
+        data = pipeline["data"]
+        bad = tmp_path / "inputs"
+        bad.mkdir()
+        shutil.copy(os.path.join(data, "features.bin"), bad)
+        long_id = "x" * 200_000
+        text = {
+            "eval": f"query_id,gallery_id\r\n{long_id},s0\r\n",
+            "ensemble": f"query_id,g0\r\n{long_id},0.5\r\n",
+            "gen-labels": f"view_id,building_id,kind,x,y,z,status\r\n{long_id},b,drone,0,0,1,ok\r\n",
+            "train": f"view_id,building_id,kind,x,y,z,status\r\n{long_id},b,drone,0,0,1,ok\r\n",
+        }[command]
+        path = bad / ("manifest.csv" if command in ("gen-labels", "train") else "input.csv")
+        path.write_text(text, encoding="utf-8")
+        rel = os.path.join(data, "relevance_drone2sat.csv")
+        argv = {
+            "eval": ["eval", "--gallery", pipeline["emb"]["sat"], "--queries",
+                     pipeline["emb"]["drone"], "--relevance", str(path)],
+            "ensemble": ["ensemble", "--scores", str(path), pipeline["scores"],
+                         "--relevance", rel],
+            "gen-labels": ["gen-labels", "--manifest", str(path), "--bins", "8"],
+            "train": ["train", "--config", pipeline["train_cfg"], "--data", str(bad)],
+        }[command]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 3
+        assert capsys.readouterr().err == \
+            f"data error: {path}: field larger than field limit (131072)\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv,target,reason", [
         (["eval", "--out", "{tmp}/missing/m.csv"], "{tmp}/missing/m.csv",
          "No such file or directory"),
@@ -655,7 +697,7 @@ class TestUsageAndExitCodes:
 
         for name in ["skyalign.cli.train", "skyalign.ablations.score_jobs",
                      "skyalign.cli.evaluate", "skyalign.cli.score_table",
-                     "skyalign.cli.ScoreTable.load", "skyalign.cli.fuse"]:
+                     "skyalign.cli.ScoreTable.load", "skyalign.cli.fused_metrics"]:
             monkeypatch.setattr(name, no_work)
         data = pipeline["data"]
         inputs = {
@@ -1177,15 +1219,26 @@ class TestEnsemble:
         assert capsys.readouterr().err == \
             f"data error: {bad}: no query rows or no gallery columns\n"
 
-    def test_weights_summing_to_inf_exit_3(self, pipeline, tmp_path, capsys):
+    @pytest.mark.parametrize("weights,relevance,message", [
+        ("1e308,1e308", "relevance_drone2sat.csv",
+         "weights must sum to a positive finite value, got inf"),
+        ("0,0", "relevance_drone2sat.csv", "weights must sum to a positive finite value, got 0.0"),
+        ("0.5,0.5", "missing.csv", "no such file: {data}/missing.csv"),
+    ], ids=["sum-inf", "sum-zero", "missing-relevance"])
+    def test_weights_summing_to_inf_exit_3(self, pipeline, tmp_path, capsys, monkeypatch,
+                                           weights, relevance, message):
+        # refused before either score table is parsed
+        def no_load(*args, **kwargs):
+            raise AssertionError("parsed a score table before checking the inputs")
+
+        monkeypatch.setattr("skyalign.cli.ScoreTable.load", no_load)
         out = tmp_path / "m.csv"
         code = main(["ensemble", "--scores", pipeline["scores"], pipeline["scores2"],
-                     "--weights", "1e308,1e308", "--relevance",
-                     os.path.join(pipeline["data"], "relevance_drone2sat.csv"),
-                     "--out", str(out)])
+                     "--weights", weights, "--relevance",
+                     os.path.join(pipeline["data"], relevance), "--out", str(out)])
         assert code == 3
         assert capsys.readouterr().err == \
-            "data error: weights must sum to a positive finite value, got inf\n"
+            f"data error: {message.format(data=pipeline['data'])}\n"
         assert not out.exists()
 
     def test_weight_count_mismatch_exits_2(self, pipeline, tmp_path):

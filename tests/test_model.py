@@ -5,7 +5,7 @@ import pytest
 
 import gradcheck
 from oracles import FIELDS
-from skyalign import binio
+from skyalign import binio, model
 from skyalign.errors import NormDegenerate, NumericError
 from skyalign.model import (
     ModelParams,
@@ -88,6 +88,33 @@ class TestEncode:
         p.b2[:] = 0.0
         with pytest.raises(NormDegenerate):
             encode(p, np.ones((2, 6)))
+
+    def test_equal_blocks_match_one_forward_call(self, monkeypatch):
+        # 2 049 rows in 1 024-row blocks would leave a lone row, which goes
+        # through gemv and can change bits; equal blocks of 683 give the bits
+        # of one _forward call over every row
+        p = init(np.random.default_rng(5), 64, 128, 64, 8)
+        x = np.random.default_rng(6).standard_normal((2_049, 66), dtype=np.float32)
+        whole, _ = model._forward(p, x.astype(float))
+        rows = []
+        forward = model._forward
+
+        def spy(params, block, first_row=0):
+            rows.append(len(block))
+            return forward(params, block, first_row)
+
+        monkeypatch.setattr(model, "_forward", spy)
+        emb = encode(p, x)
+        assert rows == [683, 683, 683]
+        assert emb.dtype == np.float64 and emb.tobytes() == whole.tobytes()
+
+    def test_degenerate_row_is_numbered_in_the_whole_input(self):
+        # zero biases map a zero input row to a zero embedding before norming
+        p = init(np.random.default_rng(5), 64, 128, 64, 8)
+        x = np.random.default_rng(6).standard_normal((2_049, 66))
+        x[1_500] = 0.0
+        with pytest.raises(NormDegenerate, match="pre-normalization row 1500 has norm"):
+            encode(p, x)
 
 
 class TestOrientationLogits:

@@ -38,6 +38,7 @@ from skyalign.retrieval_eval import (
     ensemble,
     evaluate,
     fuse,
+    fused_metrics,
     metrics_from_rankings,
     read_relevance,
     recall_at_k,
@@ -771,6 +772,50 @@ class TestScoreTable:
         assert back.scores.tobytes() == tab.scores.tobytes()
         assert peak < 2.5 * tab.scores.nbytes
 
+    def test_load_keeps_no_second_copy(self, tmp_path):
+        # rows parsed into one array, not a list of rows and their stack:
+        # 200 x 5 000 fits the first capacity (209 rows), so load's peak is
+        # that array plus one row's fields
+        tab = ScoreTable([f"q{i}" for i in range(200)], [f"g{j}" for j in range(5_000)],
+                         np.random.default_rng(4).random((200, 5_000)))
+        tab.save(tmp_path / "scores.csv")
+        tracemalloc.start()
+        try:
+            back = ScoreTable.load(tmp_path / "scores.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.scores.tobytes() == tab.scores.tobytes()
+        assert peak < 1.5 * tab.scores.nbytes
+
+    @pytest.mark.parametrize("first_rows", [None, 3])
+    def test_load_grows_past_its_first_capacity(self, tmp_path, monkeypatch, first_rows):
+        # the first capacity is DEFAULT_QUERY_BLOCK = 256 rows here; 3 makes
+        # the 700-row table grow eight times
+        if first_rows is not None:
+            monkeypatch.setattr(retrieval_eval, "DEFAULT_QUERY_BLOCK", first_rows)
+        rng = np.random.default_rng(8)
+        tab = ScoreTable([f"q{i}" for i in range(700)], ["g0", "g1", "g2"],
+                         rng.standard_normal((700, 3)))
+        tab.save(tmp_path / "scores.csv")
+        back = ScoreTable.load(tmp_path / "scores.csv")
+        assert back.query_ids == tab.query_ids and back.gallery_ids == tab.gallery_ids
+        assert back.scores.shape == (700, 3) and back.scores.flags.c_contiguous
+        assert back.scores.tobytes() == tab.scores.tobytes()
+
+    @pytest.mark.parametrize("cell,message", [("nan", "score is not finite"),
+                                              ("x", "score is not a number"),
+                                              (None, "expected 4 fields")])
+    def test_load_error_line_after_growth(self, tmp_path, monkeypatch, cell, message):
+        monkeypatch.setattr(retrieval_eval, "DEFAULT_QUERY_BLOCK", 2)
+        lines = ["query_id,g0,g1,g2"] + [f"q{i},0.5,0.25,0.125" for i in range(40)]
+        lines[37] = "q36,0.5,0.25" if cell is None else f"q36,0.5,{cell},0.125"
+        path = tmp_path / "scores.csv"
+        path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+        with pytest.raises(DataError) as exc:
+            ScoreTable.load(path)
+        assert str(exc.value) == f"{path}:38: {message}"
+
     def test_save_without_gallery_columns_matches_csv_writer_bytes(self, tmp_path):
         tab = ScoreTable(["", "q,1", "q2"], [], np.zeros((3, 0), dtype=np.float32))
         tab.save(tmp_path / "fast.csv")
@@ -972,8 +1017,9 @@ class TestRankOfRelevantMetrics:
             # reversed columns, so fuse must realign them by id
             t2 = ScoreTable(t2.query_ids, t2.gallery_ids[::-1], t2.scores[:, ::-1])
             tables, weights = [t1, t2], [0.75, 0.25]
-            assert table_metrics(fuse(tables, weights, fusion), rel, self.KS) == \
-                metrics_from_rankings(ensemble(tables, weights, fusion), rel, self.KS)
+            rows = metrics_from_rankings(ensemble(tables, weights, fusion), rel, self.KS)
+            assert table_metrics(fuse(tables, weights, fusion), rel, self.KS) == rows
+            assert fused_metrics(tables, rel, self.KS, weights, fusion) == rows
 
     def test_unknown_query_rejected(self):
         es = EmbeddingSet(["a", "b"], np.eye(2, dtype=np.float32))
@@ -1045,7 +1091,31 @@ class TestStreamingEvaluate:
             assert rows == table_metrics(score_table(gallery, queries), rel, self.KS)
             full = top_k(gallery, queries, len(gallery.ids))
             assert rows == metrics_from_rankings(full, rel, self.KS)
+            self.check_fused_blocks(monkeypatch, gallery, queries, rel)
         assert several > 0 or query_block == 256
+
+    def check_fused_blocks(self, monkeypatch, gallery, queries, rel):
+        """fused_metrics ranks equal blocks of at most _block_rows rows and
+        gives the rows of table_metrics over the dense fused table."""
+        t1 = score_table(gallery, queries)
+        t2 = score_table(EmbeddingSet(gallery.ids, gallery.matrix[::-1].copy()), queries)
+        t2 = ScoreTable(t2.query_ids[::-1], t2.gallery_ids[::-1], t2.scores[::-1, ::-1])
+        blocks = []
+        count_ranks = retrieval_eval._count_ranks
+
+        def spy(scores, *args):
+            blocks.append(len(scores))
+            return count_ranks(scores, *args)
+
+        for fusion in ("score-mean", "reciprocal-rank"):
+            blocks.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(retrieval_eval, "_count_ranks", spy)
+                rows = fused_metrics([t1, t2], rel, self.KS, [0.75, 0.25], fusion)
+            assert sum(blocks) == len(queries.ids)
+            assert max(blocks) - min(blocks) <= 1
+            assert max(blocks) <= retrieval_eval._block_rows(len(gallery.ids))
+            assert rows == table_metrics(fuse([t1, t2], [0.75, 0.25], fusion), rel, self.KS)
 
     def test_equals_dense_product_on_random_float32(self, monkeypatch):
         # The module docstring's equal-blocks rationale: blocks of two or more
@@ -1099,6 +1169,25 @@ class TestStreamingEvaluate:
         finally:
             tracemalloc.stop()
         assert peak < 160e6 / 4
+
+    @pytest.mark.parametrize("fusion", ["score-mean", "reciprocal-rank"])
+    def test_fused_peak_memory_is_a_fraction_of_the_dense_table(self, monkeypatch, fusion):
+        # beyond its two tables, fused_metrics holds 16-row blocks; fuse
+        # would build the 2 000 x 1 000 float64 table (16 MB) and a scratch
+        # one, and align the reversed table in a third
+        monkeypatch.setattr(retrieval_eval, "DEFAULT_QUERY_BLOCK", 16)
+        rng = np.random.default_rng(25)
+        qids, gids = [f"q{i:04d}" for i in range(2_000)], [f"g{j:04d}" for j in range(1_000)]
+        t1 = ScoreTable(qids, gids, rng.standard_normal((2_000, 1_000)))
+        t2 = ScoreTable(qids, gids[::-1], rng.standard_normal((2_000, 1_000)))
+        rel = {q: {gids[i % 1_000]} for i, q in enumerate(qids)}
+        tracemalloc.start()
+        try:
+            fused_metrics([t1, t2], rel, [1, 5], [0.5, 0.5], fusion)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < t1.scores.nbytes / 8
 
     @pytest.mark.parametrize("case", ["dim-k-unknown", "k-unknown", "unknown-then-missing",
                                       "missing-then-unknown"])
