@@ -7,13 +7,13 @@ negatives.  Orientation terms skip masked rows entirely; their logit and
 prediction gradients are exactly zero.
 
 InfoNCE workspace: infonce_with_grad writes its n x n temporaries (scores,
-row-shifted logits, column-shifted logits, exp scratch) into four buffers
-kept in a caller's ``work`` dict under the key n, so a training run pays
-for fresh n x n blocks and their page faults once per batch size instead
-of on every step.  trainer.train owns one dict per run, so the buffers are
-freed before embed and eval.  They are four blocks, not one (4, n, n)
-array: numpy advises blocks of 4 MB and more onto huge pages, and the
-later stages' heap then stayed on them, raising peak RSS.
+row- and column-shifted logits, exp scratch) into the C-ordered (n, n)
+starts of four flat float64 buffers in a caller's ``work`` dict, replaced
+only when a larger n arrives: a run pays their page faults once, and its
+512- and 488-row batches share one set.  trainer.train owns one dict per
+run, so they are freed before embed and eval.  Four buffers, not one: numpy
+advises blocks of 4 MB and more onto huge pages, and the later stages' heap
+then stayed on them, raising peak RSS.
 
 Summation order: the loss and gradients keep the bits of the form that
 reduced ``_log_softmax(S)`` and ``_log_softmax(S.T)`` with fresh arrays.
@@ -102,11 +102,11 @@ def infonce_with_grad(emb_sat: np.ndarray, emb_drone: np.ndarray, mask: np.ndarr
     if u == 0:
         raise AllMasked("every row of the batch is masked; no anchor terms remain")
 
-    if work is None:
-        work = {}
-    if n not in work:
-        work[n] = [np.empty((n, n)) for _ in range(4)]
-    scores, ds, sd, ex = work[n]
+    work = {} if work is None else work
+    bufs = work.get("infonce", ())
+    if not bufs or bufs[0].size < n * n:  # replaced only when a larger n arrives
+        bufs = work["infonce"] = [np.empty(n * n) for _ in range(4)]
+    scores, ds, sd, ex = (b[:n * n].reshape(n, n) for b in bufs)
     np.matmul(emb_drone, emb_sat.T, out=scores)
     scores /= tau
     # drone anchors: log-softmax along the rows of S

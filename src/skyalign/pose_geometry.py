@@ -169,16 +169,16 @@ def read_manifest(path) -> Manifest:
             raise ManifestError(f"{path}: empty manifest") from None
         if header != MANIFEST_HEADER:
             raise ManifestError(f"{path}: bad header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             if len(row) != 7:
-                raise ManifestError(f"{path}:{lineno}: expected 7 fields, got {len(row)}")
+                raise ManifestError(f"{path}:{reader.line_num}: expected 7 fields, got {len(row)}")
             view_id, building_id, kind, xs, ys, zs, status = row
             if kind not in (KIND_SAT, KIND_DRONE):
-                raise ManifestError(f"{path}:{lineno}: bad kind {kind!r}")
+                raise ManifestError(f"{path}:{reader.line_num}: bad kind {kind!r}")
             if status not in (STATUS_OK, STATUS_FAILED):
-                raise ManifestError(f"{path}:{lineno}: bad status {status!r}")
+                raise ManifestError(f"{path}:{reader.line_num}: bad status {status!r}")
             try:
                 if status == STATUS_FAILED:
                     # position of a failed record is ignored; tolerate blanks
@@ -186,9 +186,9 @@ def read_manifest(path) -> Manifest:
                 else:
                     pos = (float(xs), float(ys), float(zs))
             except ValueError:
-                raise ManifestError(f"{path}:{lineno}: bad coordinate") from None
+                raise ManifestError(f"{path}:{reader.line_num}: bad coordinate") from None
             if not all(map(math.isfinite, pos)):
-                raise ManifestError(f"{path}:{lineno}: coordinate is not finite")
+                raise ManifestError(f"{path}:{reader.line_num}: coordinate is not finite")
             view_ids.append(view_id)
             building_ids.append(building_id)
             is_sat.append(kind == KIND_SAT)

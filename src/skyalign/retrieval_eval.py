@@ -41,7 +41,6 @@ and for at most DEFAULT_QUERY_BLOCK queries the buffer is the whole table.
 fused_metrics fuses the tables with fuse's kernel (_fuser) in blocks of at
 most min(DEFAULT_QUERY_BLOCK, 2**20 // gallery size) rows, at least one,
 into two reused buffers, so no dense fused table or rank matrix exists.
-The scan counts ranks by gathering 2**20 scores at a time.
 
 evaluate, fused_metrics, model.encode, and top_k under its query_block
 cap, split their rows into equal blocks, sizes differing by at most 1
@@ -57,13 +56,13 @@ rows and 1 000 queries, evaluate's tracemalloc peak is 170 MB against
 
 A rank is counted one of two ways, chosen per call by the relevant pairs
 per query row (_count_ranks).  Below _SORT_FROM = 4 on average, each pair's
-row is gathered and compared with its score: one pass over the row per
-relevant item.  From 4 on, each row is sorted once and every relevant score
-is found in it by binary search, so R relevant items cost one sort instead
-of R passes.  Drone2Sat has one relevant item per query and Sat2Drone one
-per drone view of the building (10 in the scale benchmark, 54 in
-University-1652).  Microseconds per row, compare against sort (float32
-rows, best of 5; 2-vCPU x86-64 VM, numpy 2.4.6):
+row is gathered, 2**20 scores at a time, and compared with its score: one
+pass over the row per relevant item.  From 4 on, each row is sorted once in
+a copy of at most 2**18 scores, and every relevant score is found in it by
+binary search: R relevant items cost one sort, not R passes.  Drone2Sat has
+one relevant item per query, Sat2Drone one per drone view of the building
+(10 in the scale benchmark, 54 in University-1652).  Microseconds per row,
+compare against sort (float32 rows, best of 5; 2-vCPU x86-64 VM, numpy 2.4.6):
 
     G = 1 000     R = 1: 4 vs 23    R = 3: 14 vs 25      R = 4: 18 vs 26
                   R = 5: 23 vs 29   R = 10: 47 vs 29     R = 54: 256 vs 40
@@ -71,9 +70,8 @@ rows, best of 5; 2-vCPU x86-64 VM, numpy 2.4.6):
                   R = 10: 266 vs 90 R = 54: 1 461 vs 108
     G = 160 000   R = 1: 533 vs 1 270  R = 3: 1 420 vs 1 306  R = 4: 1 891 vs 1 297
 
-The crossover is near 3 for large galleries and near 5 for small ones.
-Both paths give the same ranks for any scores, ties, signed zeros and NaN
-included.
+The crossover is near 3 for large galleries, near 5 for small ones.  Both
+paths give the same ranks for any scores, ties, signed zeros and NaN included.
 """
 
 from __future__ import annotations
@@ -103,6 +101,7 @@ from .errors import (
 DEFAULT_GALLERY_BLOCK = 8192
 DEFAULT_QUERY_BLOCK = 256
 _BLOCK_VALUES = 1 << 20  # scores per rank gather and fused_metrics block; an evaluate block may hold more
+_SORT_VALUES = 1 << 18  # scores per sorted copy in _count_ranks, held beside a score block
 _SORT_FROM = 4  # relevant pairs per score row from which _count_ranks sorts each row once
 
 
@@ -445,18 +444,18 @@ class ScoreTable:
             gallery_ids = header[1:]
             query_ids = []
             scores = np.empty((_block_rows(len(gallery_ids)), len(gallery_ids)))
-            for lineno, rec in enumerate(reader, start=2):
+            for rec in reader:
                 if len(rec) != len(header):
-                    raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
+                    raise DataError(f"{path}:{reader.line_num}: expected {len(header)} fields")
                 n = len(query_ids)
                 if n == len(scores):
                     scores.resize((2 * n, len(gallery_ids)), refcheck=False)
                 try:
                     scores[n] = np.fromiter(map(float, rec[1:]), np.float64, len(gallery_ids))
                 except ValueError:
-                    raise DataError(f"{path}:{lineno}: score is not a number") from None
+                    raise DataError(f"{path}:{reader.line_num}: score is not a number") from None
                 if not np.isfinite(scores[n]).all():
-                    raise DataError(f"{path}:{lineno}: score is not finite")
+                    raise DataError(f"{path}:{reader.line_num}: score is not finite")
                 query_ids.append(rec[0])
         if not query_ids or not gallery_ids:
             raise DataError(f"{path}: no query rows or no gallery columns")
@@ -575,11 +574,11 @@ def read_relevance(path) -> dict[str, set[str]]:
         header = next(reader, None)
         if header != ["query_id", "gallery_id"]:
             raise DataError(f"{path}: bad relevance header {header!r}")
-        for lineno, rec in enumerate(reader, start=2):
+        for rec in reader:
             if not rec:
                 continue
             if len(rec) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 fields")
+                raise DataError(f"{path}:{reader.line_num}: expected 2 fields")
             rel.setdefault(rec[0], set()).add(rec[1])
     if not rel:
         raise DataError(f"{path}: no relevance pairs")
@@ -629,8 +628,7 @@ def _relevant_pairs(query_ids: list[str], gallery_ids: list[str],
         if not cols or -1 in cols:
             raise DataError(f"query {qid!r}: relevant set empty or not in gallery")
         pairs += [(i, c) for c in cols]
-    qrow, rcol = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    return qrow, rcol
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2).T  # unpacks as qrow, rcol
 
 
 def _count_ranks(scores: np.ndarray, qrow: np.ndarray, rcol: np.ndarray,
@@ -640,15 +638,15 @@ def _count_ranks(scores: np.ndarray, qrow: np.ndarray, rcol: np.ndarray,
 
     With fewer than _SORT_FROM pairs a row on average, the rows are gathered
     _BLOCK_VALUES scores at a time, one row per pair, and compared with the
-    pair's score.  Otherwise each row is sorted once, _BLOCK_VALUES scores at
-    a time, and each of its pairs' scores is found in it by binary search:
-    the scores above it are those past its right insertion point (short of
-    any NaN, which is neither above nor equal), and only when the two
-    insertion points show another equal score are the equal ones in earlier
-    columns counted in the row itself."""
-    step = max(1, _BLOCK_VALUES // max(1, scores.shape[1]))
+    pair's score.  Otherwise each row is sorted once, in one reused copy of
+    at most _SORT_VALUES scores, and each of its pairs' scores is found in it
+    by binary search: the scores above it are those past its right insertion
+    point (short of any NaN, which is neither above nor equal), and only when
+    the two insertion points show another equal score are the equal ones in
+    earlier columns counted in the row itself."""
     rows, first = np.unique(qrow, return_index=True)
     if len(qrow) < _SORT_FROM * len(rows):
+        step = max(1, _BLOCK_VALUES // max(1, scores.shape[1]))
         pos = np.arange(scores.shape[1])
         for s in range(0, len(qrow), step):
             block, c = scores[qrow[s:s + step]], rcol[s:s + step, None]
@@ -657,8 +655,10 @@ def _count_ranks(scores: np.ndarray, qrow: np.ndarray, rcol: np.ndarray,
         return
     v = scores[qrow, rcol]
     bounds = np.append(first, len(qrow))
-    for s in range(0, len(rows), step):
-        block = scores[rows[s:s + step]]
+    step = max(1, _SORT_VALUES // max(1, scores.shape[1]))
+    buf = np.empty((min(step, len(rows)), scores.shape[1]), scores.dtype)
+    for s in range(0, len(rows), step):  # mode "clip" fills buf; "raise" would copy first
+        block = np.take(scores, rows[s:s + step], axis=0, out=buf[:len(rows) - s], mode="clip")
         block.sort(axis=1)
         for p0, p1, row in zip(bounds[s:], bounds[s + 1:], block):
             left, right = row.searchsorted(v[p0:p1], "left"), row.searchsorted(v[p0:p1], "right")

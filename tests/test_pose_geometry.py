@@ -338,6 +338,17 @@ class TestManifestIO:
         with pytest.raises(ManifestError, match=r":3:"):
             read_manifest(path)
 
+    def test_error_names_the_file_line_after_a_quoted_newline(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(
+            "view_id,building_id,kind,x,y,z,status\n"
+            '"s\n0",b0,sat,0,0,0,ok\n'
+            "d0,b0,drone,oops,0,50,ok\n"
+        )
+        with pytest.raises(ManifestError) as exc:
+            read_manifest(path)
+        assert str(exc.value) == f"{path}:4: bad coordinate"
+
     def test_bad_kind_and_status(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text(

@@ -816,6 +816,15 @@ class TestScoreTable:
             ScoreTable.load(path)
         assert str(exc.value) == f"{path}:38: {message}"
 
+    def test_load_error_names_the_file_line_after_a_quoted_newline(self, tmp_path):
+        # the first query id spans lines 2-3, so the third row is line 5
+        path = tmp_path / "scores.csv"
+        path.write_text('query_id,g0\r\n"a\nb",0.5\r\nq1,0.25\r\nq2,nan\r\n',
+                        encoding="utf-8")
+        with pytest.raises(DataError) as exc:
+            ScoreTable.load(path)
+        assert str(exc.value) == f"{path}:5: score is not finite"
+
     def test_save_without_gallery_columns_matches_csv_writer_bytes(self, tmp_path):
         tab = ScoreTable(["", "q,1", "q2"], [], np.zeros((3, 0), dtype=np.float32))
         tab.save(tmp_path / "fast.csv")
@@ -947,6 +956,13 @@ class TestRelevanceAndMetricsIO:
         path.write_text("query_id,gallery_id\n", encoding="utf-8")
         with pytest.raises(DataError):
             read_relevance(path)
+
+    def test_relevance_error_names_the_file_line_after_a_quoted_newline(self, tmp_path):
+        path = tmp_path / "rel.csv"
+        path.write_text('query_id,gallery_id\n"a\nb",g0\nq1,g1\nq2\n', encoding="utf-8")
+        with pytest.raises(DataError) as exc:
+            read_relevance(path)
+        assert str(exc.value) == f"{path}:5: expected 2 fields"
 
     def test_metrics_rows_and_unknown_query(self):
         rankings = [ranked(["a", "b", "c"])]
@@ -1280,6 +1296,40 @@ class TestSortedRowRanks:
                for i, q in enumerate(queries.ids)}
         assert evaluate(queries, gallery, rel, [1, 5, 10]) == \
             dense_evaluate(queries, gallery, rel, [1, 5, 10])
+
+
+class TestSortedRankGather:
+    """The sorted path copies at most _SORT_VALUES scores at a time."""
+
+    @pytest.mark.parametrize("sort_values", [7, 150, 1 << 18])
+    def test_ranks_over_gather_sizes(self, monkeypatch, sort_values):
+        # 1 and 2 rows a copy at 60 columns, with a part-filled last copy
+        monkeypatch.setattr(retrieval_eval, "_SORT_VALUES", sort_values)
+        rng = np.random.default_rng(33)
+        for dtype, odd in [(np.float32, False), (np.float64, True)]:
+            scores = TestSortedRowRanks.scores(rng, 18, 60, dtype, odd)
+            rows = np.sort(rng.choice(18, 9, replace=False))
+            qrow, rcol = TestSortedRowRanks.pairs(rng, rows, 60, [5] * 9)
+            TestSortedRowRanks().check(scores, qrow, rcol)
+
+    def test_sat2drone_block_peak_memory(self):
+        # one evaluate block at the scale benchmark's Sat2Drone shape: 104
+        # rows of 10 000 float32 scores (4.2 MB), 10 relevant items a row
+        rng = np.random.default_rng(34)
+        scores = rng.standard_normal((104, 10_000)).astype(np.float32)
+        qrow = np.repeat(np.arange(104), 10)
+        rcol = np.concatenate([rng.choice(10_000, 10, replace=False) for _ in range(104)])
+        got = np.zeros(len(qrow), dtype=np.int64)
+        tracemalloc.start()
+        try:
+            retrieval_eval._count_ranks(scores, qrow, rcol, got)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20, f"sorted path peaked at {peak / 2**20:.2f} MiB"
+        want = np.zeros(len(qrow), dtype=np.int64)
+        compare_count_ranks(scores, qrow, rcol, want)
+        assert np.array_equal(got, want)
 
 
 class _DlInfo(ctypes.Structure):
