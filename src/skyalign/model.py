@@ -177,7 +177,8 @@ def forward_backward(params: ModelParams, batch: TrainBatch, cfg: LossConfig,
 
     l_orient = 0.0
     if cfg.orientation_mode != MODE_NONE:
-        out = orientation_logits(params, emb_sat, emb_drone)
+        cat = np.concatenate([emb_sat, emb_drone], axis=1)
+        out = cat @ params.head_W.T + params.head_b  # orientation_logits on cat
         if cfg.orientation_mode == MODE_CLASSIFICATION:
             l_orient, d_out = orientation_ce_with_grad(
                 out, batch.orientation_bins, batch.mask, cfg.smoothing
@@ -187,7 +188,6 @@ def forward_backward(params: ModelParams, batch: TrainBatch, cfg: LossConfig,
                 out, batch.relative_angle_deg, batch.mask
             )
         w = cfg.orientation_weight
-        cat = np.concatenate([emb_sat, emb_drone], axis=1)
         grads.head_W[...] = w * (d_out.T @ cat)
         grads.head_b[...] = w * d_out.sum(axis=0)
         d_cat = w * (d_out @ params.head_W)

@@ -6,23 +6,21 @@ embedding stays in every softmax denominator, so noisy samples still act as
 negatives.  Orientation terms skip masked rows entirely; their logit and
 prediction gradients are exactly zero.
 
-InfoNCE workspace: infonce_with_grad writes its n x n temporaries (scores,
-row- and column-shifted logits, exp scratch) into the C-ordered (n, n)
-starts of four flat float64 buffers in a caller's ``work`` dict, replaced
-only when a larger n arrives: a run pays their page faults once, and its
-512- and 488-row batches share one set.  trainer.train owns one dict per
-run, so they are freed before embed and eval.  Four buffers, not one: numpy
-advises blocks of 4 MB and more onto huge pages, and the later stages' heap
-then stayed on them, raising peak RSS.
+InfoNCE arithmetic: every score of S lies in [-b, b], b = max|drone_i|
+max|sat_j| / tau (1/tau on the encoder's unit rows), so one exp
+E = exp(S - b) gives both directions' softmax normalisers as its row and
+column sums (arXiv 1805.02867).  That needs exp(-2b) to stay a normal
+float64 with 53 bits to spare, 2b <= (1022 - 53) ln 2 = 671.7: down to
+tau = 0.003 on unit rows.  Below it, each row and each column is shifted by
+its own max, with two exps.  Besides E's sums, the loss and the gradient's
+constant terms need only n x e products.
 
-Summation order: the loss and gradients keep the bits of the form that
-reduced ``_log_softmax(S)`` and ``_log_softmax(S.T)`` with fresh arrays.
-Row reductions of a C-ordered array are pairwise per row; reducing the
-F-ordered S.T along its rows adds the rows of S one after another, which
-is what ``sum(axis=0)`` does on C-ordered S.  The sat-anchor CE row sums
-were pairwise over gathered rows, so they are taken from a C-ordered copy
-of the transposed logits.  Max, exp and the elementwise gradient steps are
-order-free; the diagonal target is one rounded scalar.
+InfoNCE workspace: the n x n block (S, then E, then the gradient) and a
+64-row scratch block share one flat float64 buffer in a caller's ``work``
+dict (2.4 MB at n = 512, below the 4 MB from which numpy advises huge
+pages), replaced only when a larger n arrives: a run pays its page faults
+once, and its 512- and 488-row batches share it.  trainer.train owns one
+dict per run, so it is freed before embed and eval.
 """
 
 from __future__ import annotations
@@ -39,6 +37,8 @@ MODE_CLASSIFICATION = "classification"
 MODE_REGRESSION = "regression"
 MODE_NONE = "none"
 ORIENTATION_MODES = (MODE_CLASSIFICATION, MODE_REGRESSION, MODE_NONE)
+_MAX_SPREAD = 667.0  # one-exp InfoNCE's limit on 2b: 2 / 0.003 (module docstring)
+_BLOCK = 64  # rows per InfoNCE outer-sum block: 256 KB of scratch at n = 512
 
 
 @dataclass(frozen=True)
@@ -66,16 +66,10 @@ def _log_softmax(scores: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _smoothed_ce(row_sums: np.ndarray, target_logp: np.ndarray, c: int,
-                 eps: float) -> np.ndarray:
-    """Row CE from each row's logp sum and its target logp."""
-    return -(eps / c) * row_sums - (1.0 - eps) * target_logp
-
-
 def _smoothed_ce_rows(logp: np.ndarray, targets: np.ndarray, eps: float) -> np.ndarray:
     """Row CE against q = eps/C + (1-eps)*onehot(target), C = column count."""
     n, c = logp.shape
-    return _smoothed_ce(logp.sum(axis=1), logp[np.arange(n), targets], c, eps)
+    return -(eps / c) * logp.sum(axis=1) - (1.0 - eps) * logp[np.arange(n), targets]
 
 
 def infonce_with_grad(emb_sat: np.ndarray, emb_drone: np.ndarray, mask: np.ndarray,
@@ -88,7 +82,7 @@ def infonce_with_grad(emb_sat: np.ndarray, emb_drone: np.ndarray, mask: np.ndarr
     direction on unmasked columns of S; every row and column stays in all
     denominators.  Loss is the mean over the 2U unmasked anchor terms.
 
-    work, if given, holds the n x n buffers between calls (see the module
+    work, if given, holds the workspace between calls (see the module
     docstring); the returned arrays never share memory with it.
     """
     n = emb_sat.shape[0]
@@ -103,43 +97,48 @@ def infonce_with_grad(emb_sat: np.ndarray, emb_drone: np.ndarray, mask: np.ndarr
         raise AllMasked("every row of the batch is masked; no anchor terms remain")
 
     work = {} if work is None else work
-    bufs = work.get("infonce", ())
-    if not bufs or bufs[0].size < n * n:  # replaced only when a larger n arrives
-        bufs = work["infonce"] = [np.empty(n * n) for _ in range(4)]
-    scores, ds, sd, ex = (b[:n * n].reshape(n, n) for b in bufs)
-    np.matmul(emb_drone, emb_sat.T, out=scores)
-    scores /= tau
-    # drone anchors: log-softmax along the rows of S
-    np.subtract(scores, scores.max(axis=1, keepdims=True), out=ds)
-    ds -= np.log(np.exp(ds, out=ex).sum(axis=1, keepdims=True))
-    # sat anchors: log-softmax down the columns of S; sum(axis=0) adds the
-    # rows one after another, the order in which S.T reduces along its rows
-    np.subtract(scores, scores.max(axis=0), out=sd)
-    sd -= np.log(np.exp(sd, out=ex).sum(axis=0))
+    buf = work.get("infonce")
+    if buf is None or buf.size < n * (n + _BLOCK):  # replaced only when a larger n arrives
+        buf = work["infonce"] = np.empty(n * (n + _BLOCK))
+    ex = np.matmul(emb_drone / tau, emb_sat.T, out=buf[:n * n].reshape(n, n))  # S
+    s_diag = ex.diagonal().copy()  # from the matrix, so it rounds as the shifts do
+    bound = math.sqrt(np.einsum("ij,ij->i", emb_drone, emb_drone).max()
+                      * np.einsum("ij,ij->i", emb_sat, emb_sat).max()) / tau  # >= |S|
+    if 2.0 * bound <= _MAX_SPREAD:  # one shift and one exp for both directions
+        row_shift = col_shift = bound
+        ex_col = ex
+    else:  # small tau: each row and each column shifted by its own max, two exps
+        row_shift, col_shift = ex.max(axis=1), ex.max(axis=0)
+        ex_col = np.exp(ex - col_shift)
+    ex -= np.reshape(row_shift, (-1, 1))
+    r, c = np.exp(ex, out=ex).sum(axis=1), ex_col.sum(axis=0)
 
-    # a gathered row is summed pairwise: sum the C-ordered rows of sd.T
-    np.copyto(ex, sd.T)
-    ce_ds = _smoothed_ce(ds.sum(axis=1)[anchors], ds[anchors, anchors], n, eps)
-    ce_sd = _smoothed_ce(ex.sum(axis=1)[anchors], sd[anchors, anchors], n, eps)
-    loss = float((ce_ds.sum() + ce_sd.sum()) / (2.0 * u))
+    # an anchor's smoothed CE is lse - (eps/n) * (its sum of S) - (1 - eps) * S_ii
+    sum_sat, sum_drone = emb_sat.sum(axis=0), emb_drone.sum(axis=0)
+    ce = (row_shift + col_shift + np.log(r) + np.log(c)
+          - (eps / n) * (emb_drone @ sum_sat + emb_sat @ sum_drone) / tau
+          - 2.0 * (1.0 - eps) * s_diag)
+    loss = float(ce[anchors].sum() / (2.0 * u))
 
-    # dCE/dlogit for an anchor is softmax - target, weight 1/(2U).  The
-    # diagonal target eps/n + (1 - eps) is rounded once and subtracted from
-    # exp(l_ii) in one step: two separate subtractions move bits.
-    off, on = eps / n, eps / n + (1.0 - eps)
-    for g in (ds, sd):
-        np.exp(g, out=g)
-        diag = g.diagonal() - on
-        g -= off
-        np.fill_diagonal(g, diag)
-    ds[masked] = 0.0
-    sd[:, masked] = 0.0
-    ds += sd
-    ds /= 2.0 * u
-
-    d_drone = ds @ emb_sat / tau
-    d_sat = ds.T @ emb_drone / tau
-    d_tau = float(-np.multiply(ds, scores, out=scores).sum() / tau)
+    # dL/dS is G = E * (a_i/r_i + a_j/c_j) - (eps/n)(a_i + a_j) - 2(1 - eps) a_i [i = j],
+    # over 2U, with a the unmasked indicator; the constant terms act on G @ sat
+    # and G.T @ drone, and -sum(G * S) / tau is -sum(drone * (G @ sat)) / tau^2
+    aw = (~masked) / (2.0 * u)
+    alpha, beta = aw / r, aw / c
+    if ex_col is ex:  # the outer sum one row block at a time, in the scratch block
+        for r0 in range(0, n, _BLOCK):
+            blk = ex[r0:r0 + _BLOCK]
+            blk *= np.add(alpha[r0:r0 + _BLOCK, None], beta,
+                          out=buf[n * n:n * n + blk.size].reshape(blk.shape))
+    else:
+        ex *= alpha[:, None]
+        ex += ex_col * beta
+    k, on = eps / n, 2.0 * (1.0 - eps)
+    d_drone = (ex @ emb_sat - aw[:, None] * (k * sum_sat + on * emb_sat)
+               - k * (aw @ emb_sat)) / tau
+    d_sat = (ex.T @ emb_drone - aw[:, None] * (k * sum_drone + on * emb_drone)
+             - k * (aw @ emb_drone)) / tau
+    d_tau = float(-np.einsum("ij,ij->", emb_drone, d_drone) / tau)
     return loss, d_sat, d_drone, d_tau
 
 

@@ -60,17 +60,22 @@ def _coord_mismatches(params: ModelParams, batch: TrainBatch, cfg: LossConfig):
             arr[idx] = orig
             yield name, idx, float(g[idx]), (up - down) / (2 * STEP)
 
+    # the loss scales as 1/tau, so a central difference in tau errs by about
+    # (step / tau)^2 relative: below tau = 0.05 the step shrinks with tau
     orig = params.temperature
-    params.temperature = orig + STEP
+    step = STEP * min(1.0, orig / 0.05)
+    params.temperature = orig + step
     up = loss_at(params)
-    params.temperature = orig - STEP
+    params.temperature = orig - step
     down = loss_at(params)
     params.temperature = orig
-    yield "temperature", (), float(grads.temperature), (up - down) / (2 * STEP)
+    yield "temperature", (), float(grads.temperature), (up - down) / (2 * step)
 
 
-def check_config(rng: np.random.Generator, mode: str) -> tuple[int, list]:
-    """One random small configuration; returns (n_coords, failures)."""
+def check_config(rng: np.random.Generator, mode: str,
+                 temperature: float | None = None) -> tuple[int, list]:
+    """One random small configuration; returns (n_coords, failures).  A given
+    temperature replaces the random one; the draws stay the same."""
     for _ in range(20):
         n = int(rng.integers(2, 5))
         m = int(rng.integers(2, 7))
@@ -85,6 +90,8 @@ def check_config(rng: np.random.Generator, mode: str) -> tuple[int, list]:
         params.b2[...] = rng.uniform(-0.3, 0.3, size=e)
         params.head_b[...] = rng.uniform(-0.3, 0.3, size=head_rows)
         params.temperature = float(rng.uniform(0.05, 1.0))
+        if temperature is not None:
+            params.temperature = temperature
         cfg = LossConfig(smoothing=float(rng.choice([0.0, 0.1])),
                          temperature=params.temperature,
                          orientation_mode=mode,

@@ -4,7 +4,9 @@ The naive_* functions are plain term-by-term Python loops over math
 functions, deliberately independent of the vectorized numpy routes in the
 package.  Tests compare the two routes; neither is derived from the other.
 The loop-form references are exact-equality references for the training
-batch path, for InfoNCE's gradient and for top_k's block selection; the
+batch path and for top_k's block selection; the two log-softmax InfoNCE
+forms equal each other bit for bit and bound the one-exp InfoNCE by a
+tolerance; the
 record-form references after them are those for the column pose manifest
 and its labels; the object-form references are those for the generator's
 view table and the dataset builder; the dense-table metric path and the csv.writer

@@ -4,6 +4,7 @@ through main(argv), with exit codes, artifact bytes, and env overrides."""
 import errno
 import filecmp
 import importlib.util
+import math
 import os
 import shutil
 import subprocess
@@ -824,6 +825,15 @@ class TestTrain:
         lines = Path(out, "train_log.csv").read_text(encoding="utf-8")
         n_rows = len(lines.strip().split("\n")) - 1
         assert n_rows == 3  # ceil(20/8) = 3 batches, 1 epoch
+
+    def test_temperature_below_one_exp_range_trains(self, pipeline, tmp_path):
+        # tau = 0.001 takes InfoNCE's per-row and per-column shifts
+        cfg = write_train_cfg(tmp_path / "train.cfg", extra="temperature = 0.001\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--data", pipeline["data"],
+                     "--out", str(out)]) == 0
+        lines = (out / "train_log.csv").read_text(encoding="utf-8").strip().split("\n")[1:]
+        assert lines and all(math.isfinite(float(v)) for line in lines for v in line.split(","))
 
     @pytest.mark.parametrize("temperature", ["false", "true"], ids=["tau-fixed", "tau-trained"])
     def test_parameters_beyond_float32_exit_4(self, pipeline, tmp_path, capsys, temperature):

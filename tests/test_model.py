@@ -209,6 +209,15 @@ class TestForwardBackward:
             assert count > 0
             assert not failures, failures[:3]
 
+    @pytest.mark.parametrize("mode", ["classification", "regression", "none"])
+    def test_gradients_match_finite_differences_below_one_exp_range(self, mode):
+        # tau = 0.001 < 0.003 takes InfoNCE's per-row and per-column shifts
+        rng = np.random.default_rng(101)
+        for _ in range(8):
+            count, failures = gradcheck.check_config(rng, mode, temperature=0.001)
+            assert count > 0
+            assert not failures, failures[:3]
+
 
 class TestCheckpoint:
     def test_round_trip_float32_exact(self, tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from skyalign import objectives
 from skyalign.errors import AllMasked, ConfigError, DataError, NonFiniteLoss
 from skyalign.objectives import (
     LossConfig,
@@ -174,9 +175,10 @@ def _masks(rng, n):
 
 
 class TestInfoNCEMatchesScatterForm:
-    """The dense gradient reproduces the index-scatter form bit for bit."""
+    """The dense reference reproduces the index-scatter reference bit for bit,
+    so the earlier arithmetic stays pinned as one reference."""
 
-    @pytest.mark.parametrize("n", [2, 3, 64, 65, 512])
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 488, 512])
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     def test_bit_identical(self, n, eps):
         rng = np.random.default_rng([n, int(eps * 10)])
@@ -187,16 +189,31 @@ class TestInfoNCEMatchesScatterForm:
             for mask in _masks(rng, n):
                 if mask.all():
                     continue
-                got = infonce_with_grad(emb_s, emb_d, mask, tau, eps)
+                got = oracles.dense_infonce_with_grad(emb_s, emb_d, mask, tau, eps)
                 want = oracles.scatter_infonce_with_grad(emb_s, emb_d, mask, tau, eps)
                 assert got[0] == want[0] and got[3] == want[3]
                 assert np.array_equal(got[1], want[1])
                 assert np.array_equal(got[2], want[2])
 
 
+# Agreement of the one-exp InfoNCE with the dense reference: the loss within
+# LOSS_TOL of max(1, |loss|), each gradient within GRAD_TOL of its largest
+# reference entry, d_tau within GRAD_TOL of max(1, |d_tau|).
+LOSS_TOL = 1e-12
+GRAD_TOL = 1e-10
+
+
+def assert_close_to(got, want):
+    assert abs(got[0] - want[0]) <= LOSS_TOL * max(1.0, abs(want[0])), (got[0], want[0])
+    for g, w in zip(got[1:3], want[1:3]):
+        assert np.abs(g - w).max() <= GRAD_TOL * np.abs(w).max()
+    assert abs(got[3] - want[3]) <= GRAD_TOL * max(1.0, abs(want[3])), (got[3], want[3])
+
+
 class TestInfoNCEMatchesDenseForm:
-    """The workspace form reproduces the freshly allocated dense form bit for
-    bit, with or without a work dict, across batch sizes sharing one dict."""
+    """The live function agrees with the dense reference within tolerance,
+    and its workspace form reproduces its fresh form bit for bit, across
+    batch sizes sharing one dict."""
 
     @staticmethod
     def assert_same_bits(got, want):
@@ -216,10 +233,19 @@ class TestInfoNCEMatchesDenseForm:
             for mask in _masks(rng, n):
                 if mask.all():
                     continue
-                want = oracles.dense_infonce_with_grad(emb_s, emb_d, mask, tau, eps)
-                self.assert_same_bits(infonce_with_grad(emb_s, emb_d, mask, tau, eps), want)
-                self.assert_same_bits(
-                    infonce_with_grad(emb_s, emb_d, mask, tau, eps, work), want)
+                got = infonce_with_grad(emb_s, emb_d, mask, tau, eps)
+                assert_close_to(got, oracles.dense_infonce_with_grad(emb_s, emb_d, mask, tau, eps))
+                self.assert_same_bits(infonce_with_grad(emb_s, emb_d, mask, tau, eps, work), got)
+
+    @pytest.mark.parametrize("scale", [3.0, 1000.0])
+    def test_rows_beyond_unit_norm(self, scale):
+        # scores reach scale / tau: at 1000, shifting by 1 / tau alone would
+        # overflow exp, so the shift comes from the row norms
+        rng = np.random.default_rng(13)
+        emb_s, emb_d = unit_rows(rng, 8, 4) * scale, unit_rows(rng, 8, 4)
+        mask = np.arange(8) == 3
+        assert_close_to(infonce_with_grad(emb_s, emb_d, mask, 1.0, 0.1),
+                        oracles.dense_infonce_with_grad(emb_s, emb_d, mask, 1.0, 0.1))
 
     def test_shared_work_across_batch_sizes(self):
         rng = np.random.default_rng(8)
@@ -231,15 +257,30 @@ class TestInfoNCEMatchesDenseForm:
             mask = rng.random(n) < 0.1
             got = infonce_with_grad(emb_s, emb_d, mask, 0.07, 0.1, work)
             self.assert_same_bits(got, infonce_with_grad(emb_s, emb_d, mask, 0.07, 0.1))
-            buffers = [b for bufs in work.values() for b in bufs]
+            buffers = list(work.values())
             for out in got[1:3]:
                 assert not any(np.shares_memory(out, b) for b in buffers)
             kept.append((got, [a.copy() for a in got[1:3]]))
-        buffers = [b for bufs in work.values() for b in bufs]
-        assert len(buffers) == 4  # one set, sized by the largest n
-        assert all(b.dtype == np.float64 and b.size == 512 * 512 for b in buffers)
+        buffers = list(work.values())
+        assert len(buffers) == 1  # one buffer, sized by the largest n
+        assert all(b.dtype == np.float64 and b.size == 512 * (512 + objectives._BLOCK)
+                   for b in buffers)
         for got, copies in kept:  # later calls did not write into earlier results
             assert all(np.array_equal(a, c) for a, c in zip(got[1:3], copies))
+
+    def test_cold_call_allocates_less_than_three_score_matrices(self):
+        # the earlier form allocated four n x n float64 matrices (8 MiB)
+        n = 512
+        rng = np.random.default_rng(10)
+        emb_s, emb_d = unit_rows(rng, n, 64), unit_rows(rng, n, 64)
+        mask = rng.random(n) < 0.1
+        tracemalloc.start()
+        try:
+            infonce_with_grad(emb_s, emb_d, mask, 0.07, 0.1, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * n * 8, f"cold InfoNCE call peaked at {peak / 2**20:.2f} MiB"
 
     @pytest.mark.parametrize("n", [512, 488])  # 488: scale's last batch, after 512-row ones
     def test_warm_call_allocates_less_than_one_score_matrix(self, n):
@@ -255,6 +296,45 @@ class TestInfoNCEMatchesDenseForm:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8, f"warm InfoNCE call peaked at {peak / 2**20:.2f} MiB"
+
+
+# the loss against the term-by-term oracle, relative to |loss|
+SMALL_TAU_REL = 1e-9
+
+
+class TestInfoNCESmallTemperature:
+    """Below tau = 0.003 exp(-2 / tau) leaves float64's normal range with 53
+    bits to spare, and each row and column is shifted by its own max."""
+
+    @pytest.mark.parametrize("tau", [0.0001, 0.001, 0.00299, 0.00301])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["aligned", "opposed"])
+    def test_matches_naive_oracle(self, tau, sign):
+        # rows within 0.15 of one direction keep a row's scores within about
+        # 0.045 / tau of each other, so the oracle's exps stay positive;
+        # opposed towers put every score near -1 / tau, the far end of the
+        # one-exp range
+        rng = np.random.default_rng(11)
+        for n, eps in ((2, 0.0), (5, 0.1), (8, 0.1)):
+            v = unit_rows(rng, 1, 6)[0]
+            emb_s = unit_rows(rng, n, 6) * 0.15 + v
+            emb_d = unit_rows(rng, n, 6) * 0.15 + sign * v
+            emb_s /= np.linalg.norm(emb_s, axis=1, keepdims=True)
+            emb_d /= np.linalg.norm(emb_d, axis=1, keepdims=True)
+            mask = np.arange(n) == 4  # masks a row from n = 5 on
+            got = infonce_with_grad(emb_s, emb_d, mask, tau, eps)[0]
+            want = oracles.naive_infonce(emb_s.tolist(), emb_d.tolist(), mask.tolist(), tau, eps)
+            assert got == pytest.approx(want, rel=SMALL_TAU_REL)
+
+    @pytest.mark.parametrize("tau", [0.0001, 0.001, 0.00299, 0.00301])
+    def test_random_rows_match_dense_form(self, tau):
+        # at tau = 0.001 one shift by 1 / tau would underflow every exp of a
+        # row whose best cosine is below 0.255
+        rng = np.random.default_rng(12)
+        emb_s, emb_d = unit_rows(rng, 64, 64), unit_rows(rng, 64, 64)
+        mask = rng.random(64) < 0.1
+        got = infonce_with_grad(emb_s, emb_d, mask, tau, 0.1)
+        assert math.isfinite(got[0])
+        assert_close_to(got, oracles.dense_infonce_with_grad(emb_s, emb_d, mask, tau, 0.1))
 
 
 class TestOrientationCE:
