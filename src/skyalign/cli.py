@@ -111,9 +111,9 @@ def cmd_gen_data(args) -> None:
 def cmd_gen_labels(args) -> None:
     _distinct_outputs([("--out", args.out)], [("--manifest", args.manifest)])
     label_cfg = LabelConfig(args.bins)
-    manifest = read_manifest(_require_file(args.manifest))
-    labels = generate_labels(manifest, label_cfg)
-    write_labels(labels, args.out)
+    with _checked_output(args.out):
+        labels = generate_labels(read_manifest(_require_file(args.manifest)), label_cfg)
+        write_labels(labels, args.out)
     n_masked = int(np.isnan(labels.azimuth_deg).sum())
     print(f"wrote {len(labels.view_ids)} labels ({n_masked} masked) to {args.out}")
 
@@ -134,21 +134,21 @@ def cmd_train(args) -> None:
 def cmd_embed(args) -> None:
     _distinct_outputs([("--out", args.out)],
                       [("--checkpoint", args.checkpoint), ("--features", args.features)])
-    params = load_checkpoint(_require_file(args.checkpoint))
-    ids, kinds, vectors, _, _ = binio.read_features(_require_file(args.features))
-    if args.kind != "all":
-        want = binio.KIND_SAT_CODE if args.kind == "sat" else binio.KIND_DRONE_CODE
-        keep = [i for i, code in enumerate(kinds) if code == want]
-        ids = [ids[i] for i in keep]
-        vectors = vectors[keep]
-    if vectors.shape[0] == 0:
-        raise DataError(f"no views of kind {args.kind!r} in {args.features}")
-    if vectors.shape[1] != params.input_dim:
-        raise DataError(
-            f"feature dim {vectors.shape[1]} != model input dim {params.input_dim}"
-        )
-    emb = encode(params, vectors)
-    EmbeddingSet.from_rows(ids, emb).save(args.out)
+    with _checked_output(args.out):
+        params = load_checkpoint(_require_file(args.checkpoint))
+        ids, kinds, vectors, _, _ = binio.read_features(_require_file(args.features))
+        if args.kind != "all":
+            want = binio.KIND_SAT_CODE if args.kind == "sat" else binio.KIND_DRONE_CODE
+            keep = [i for i, code in enumerate(kinds) if code == want]
+            ids = [ids[i] for i in keep]
+            vectors = vectors[keep]
+        if vectors.shape[0] == 0:
+            raise DataError(f"no views of kind {args.kind!r} in {args.features}")
+        if vectors.shape[1] != params.input_dim:
+            raise DataError(
+                f"feature dim {vectors.shape[1]} != model input dim {params.input_dim}"
+            )
+        EmbeddingSet.from_rows(ids, encode(params, vectors)).save(args.out)
     print(f"embedded {len(ids)} views -> {args.out}")
 
 

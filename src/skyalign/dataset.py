@@ -283,22 +283,18 @@ class BatchSampler:
         self.rng = rng
         self._queue: list[np.ndarray] = []
         self._starts = np.cumsum(dataset.drone_counts) - dataset.drone_counts  # in drone_order
+        # (start, stop) of each batch in an epoch's shuffle; a 1-building tail joins the one before
+        n = dataset.n_buildings
+        firsts = list(range(0, n - (n % batch_size == 1), batch_size))
+        self._bounds = list(zip(firsts, firsts[1:] + [n]))
 
     @property
     def batches_per_epoch(self) -> int:
-        n, size = self.dataset.n_buildings, self.batch_size
-        chunks = -(-n // size)
-        if chunks > 1 and n % size == 1:
-            chunks -= 1  # singleton tail folded into previous batch
-        return chunks
+        return len(self._bounds)
 
     def _refill(self) -> None:
         perm = self.rng.permutation(self.dataset.n_buildings)
-        chunks = [perm[i:i + self.batch_size] for i in range(0, len(perm), self.batch_size)]
-        if len(chunks) > 1 and len(chunks[-1]) < 2:
-            tail = chunks.pop()
-            chunks[-1] = np.concatenate([chunks[-1], tail])
-        self._queue = chunks[::-1]
+        self._queue = [perm[a:b] for a, b in reversed(self._bounds)]
 
     def sample_batch(self) -> TrainBatch:
         if not self._queue:

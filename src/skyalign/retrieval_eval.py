@@ -32,9 +32,8 @@ with one thread and numpy's temporaries (traced, seed 7; same VM).
 
 R@K and AP come from the rank of each relevant item: 1 + the scores above
 it + the equal ones in earlier (lower-id) columns.  One scan, _scan_metrics,
-counts those ranks block by block in score rows its three callers supply
-and keeps only the ranks.  table_metrics passes a dense ScoreTable as one
-block.  evaluate scores the queries in blocks of at most
+counts those ranks block by block in score rows its two callers supply and
+keeps only the ranks.  evaluate scores the queries in blocks of at most
 max(DEFAULT_QUERY_BLOCK, 2**20 // gallery size) rows into one reused
 buffer, so its memory grows with the gallery, not with the query count,
 and for at most DEFAULT_QUERY_BLOCK queries the buffer is the whole table.
@@ -54,15 +53,15 @@ single row, whose dense product is one row too.  At 160 000 x 384 gallery
 rows and 1 000 queries, evaluate's tracemalloc peak is 170 MB against
 685 MB for the dense table.
 
-A rank is counted one of two ways, chosen per call by the relevant pairs
-per query row (_count_ranks).  Below _SORT_FROM = 4 on average, each pair's
-row is gathered, 2**20 scores at a time, and compared with its score: one
-pass over the row per relevant item.  From 4 on, each row is sorted once in
-a copy of at most 2**18 scores, and every relevant score is found in it by
-binary search: R relevant items cost one sort, not R passes.  Drone2Sat has
-one relevant item per query, Sat2Drone one per drone view of the building
-(10 in the scale benchmark, 54 in University-1652).  Microseconds per row,
-compare against sort (float32 rows, best of 5; 2-vCPU x86-64 VM, numpy 2.4.6):
+A block's ranks are counted one of two ways, by its shape (_count_ranks),
+in at most 2**18 scores of scratch.  A block whose every row holds one
+relevant item (every Drone2Sat block) is compared in place with those
+items' scores.  Every other block is sorted a row at a time in one reused
+copy, and each relevant score is found in it by binary search, so R items
+cost one sort, not R passes (Sat2Drone: 10 a row in the scale benchmark,
+54 in University-1652).  Microseconds per row, one compare pass per
+relevant item against one sort (float32 rows, best of 5; 2-vCPU x86-64 VM,
+numpy 2.4.6):
 
     G = 1 000     R = 1: 4 vs 23    R = 3: 14 vs 25      R = 4: 18 vs 26
                   R = 5: 23 vs 29   R = 10: 47 vs 29     R = 54: 256 vs 40
@@ -70,8 +69,10 @@ compare against sort (float32 rows, best of 5; 2-vCPU x86-64 VM, numpy 2.4.6):
                   R = 10: 266 vs 90 R = 54: 1 461 vs 108
     G = 160 000   R = 1: 533 vs 1 270  R = 3: 1 420 vs 1 306  R = 4: 1 891 vs 1 297
 
-The crossover is near 3 for large galleries, near 5 for small ones.  Both
-paths give the same ranks for any scores, ties, signed zeros and NaN included.
+One pass beats a sort only at R = 1.  Rows of 2 or 3 items, which no
+workload and neither paper direction has, sort too: 1 000 x 1 000 float32
+with R = 2 took 12.7 ms against 5.3 ms compared once per item.  Both ways
+give the same ranks for any scores, ties, signed zeros and NaN included.
 """
 
 from __future__ import annotations
@@ -100,9 +101,8 @@ from .errors import (
 
 DEFAULT_GALLERY_BLOCK = 8192
 DEFAULT_QUERY_BLOCK = 256
-_BLOCK_VALUES = 1 << 20  # scores per rank gather and fused_metrics block; an evaluate block may hold more
-_SORT_VALUES = 1 << 18  # scores per sorted copy in _count_ranks, held beside a score block
-_SORT_FROM = 4  # relevant pairs per score row from which _count_ranks sorts each row once
+_BLOCK_VALUES = 1 << 20  # scores per fused_metrics block; an evaluate block may hold more
+_SORT_VALUES = 1 << 18  # scores per _count_ranks chunk or sorted copy, held beside a score block
 
 
 @dataclass
@@ -635,24 +635,31 @@ def _count_ranks(scores: np.ndarray, qrow: np.ndarray, rcol: np.ndarray,
                  out: np.ndarray) -> None:
     """out[i] = the rank of column rcol[i] in score row qrow[i], with qrow
     ascending: 1 + the scores above it + the equal ones in earlier columns.
+    When every row holds exactly one pair, each row is compared with its
+    pair's score in place, _SORT_VALUES scores at a time, and only rows
+    holding another equal score count the equal ones in earlier columns.
+    Any other block goes to _sorted_ranks."""
+    if not np.array_equal(qrow, np.arange(len(scores))):
+        return _sorted_ranks(scores, qrow, rcol, out)
+    step = max(1, _SORT_VALUES // max(1, scores.shape[1]))
+    pos = np.arange(scores.shape[1])
+    for s in range(0, len(scores), step):
+        block, c = scores[s:s + step], rcol[s:s + step, None]
+        v = np.take_along_axis(block, c, axis=1)
+        above = (block > v).sum(axis=1)
+        out[s:s + step] = 1 + above
+        tied = np.flatnonzero((block >= v).sum(axis=1) - above > 1)
+        out[s + tied] += ((block[tied] == v[tied]) & (pos < c[tied])).sum(axis=1)
 
-    With fewer than _SORT_FROM pairs a row on average, the rows are gathered
-    _BLOCK_VALUES scores at a time, one row per pair, and compared with the
-    pair's score.  Otherwise each row is sorted once, in one reused copy of
-    at most _SORT_VALUES scores, and each of its pairs' scores is found in it
-    by binary search: the scores above it are those past its right insertion
-    point (short of any NaN, which is neither above nor equal), and only when
-    the two insertion points show another equal score are the equal ones in
-    earlier columns counted in the row itself."""
+
+def _sorted_ranks(scores: np.ndarray, qrow: np.ndarray, rcol: np.ndarray,
+                  out: np.ndarray) -> None:
+    """_count_ranks by sorting each row once, _SORT_VALUES scores at a time
+    in one reused copy: the scores above a pair's are those past its right
+    insertion point, short of any NaN, and only when the insertion points
+    show another equal score are the equal ones in earlier columns counted
+    in the row itself."""
     rows, first = np.unique(qrow, return_index=True)
-    if len(qrow) < _SORT_FROM * len(rows):
-        step = max(1, _BLOCK_VALUES // max(1, scores.shape[1]))
-        pos = np.arange(scores.shape[1])
-        for s in range(0, len(qrow), step):
-            block, c = scores[qrow[s:s + step]], rcol[s:s + step, None]
-            v = np.take_along_axis(block, c, axis=1)
-            out[s:s + step] = 1 + ((block > v) | (block == v) & (pos < c)).sum(axis=1)
-        return
     v = scores[qrow, rcol]
     bounds = np.append(first, len(qrow))
     step = max(1, _SORT_VALUES // max(1, scores.shape[1]))
@@ -670,9 +677,10 @@ def _count_ranks(scores: np.ndarray, qrow: np.ndarray, rcol: np.ndarray,
 def _scan_metrics(qrow: np.ndarray, rcol: np.ndarray, blocks: list[tuple[int, int]],
                   score_rows, ks: list[int]) -> list[tuple[str, str, float]]:
     """R@k per k and mean AP from the rank of each relevant pair (score row
-    qrow[i], column rcol[i], qrow ascending), counted block by block in the
-    rows q0:q1 that score_rows(q0, q1) returns for each (q0, q1) of blocks,
-    which cover every query row in order."""
+    qrow[i], column rcol[i], qrow ascending), counted by _count_ranks block by
+    block in the rows q0:q1 that score_rows(q0, q1) returns for each (q0, q1)
+    of blocks, which cover every query row in order.  Every query row holds a
+    pair, so a block is ranked in place iff each of its rows holds one."""
     rank = np.empty(len(qrow), dtype=np.int64)
     for q0, q1 in blocks:
         p0, p1 = np.searchsorted(qrow, [q0, q1])
@@ -686,22 +694,12 @@ def _scan_metrics(qrow: np.ndarray, rcol: np.ndarray, blocks: list[tuple[int, in
     return rows + [("ap", "", float(np.mean(ap)))]
 
 
-def table_metrics(table: ScoreTable, relevance: dict[str, set[str]],
-                  ks: list[int]) -> list[tuple[str, str, float]]:
-    """metrics_from_rankings' rows from the rank of each relevant item: 1 +
-    the items scoring higher + the equal-scoring ones in earlier columns, which
-    is top_k's tie rule when gallery columns are in ascending id order.  The
-    table is scanned as one block."""
-    qrow, rcol = _relevant_pairs(table.query_ids, table.gallery_ids, relevance, ks)
-    return _scan_metrics(qrow, rcol, [(0, len(table.query_ids))], lambda q0, q1: table.scores, ks)
-
-
 def fused_metrics(tables: list[ScoreTable], relevance: dict[str, set[str]], ks: list[int],
                   weights: list[float] | None = None,
                   fusion: str = FUSION_SCORE_MEAN) -> list[tuple[str, str, float]]:
-    """table_metrics(fuse(tables, weights, fusion), relevance, ks), fused and
-    ranked in equal query blocks of at most _block_rows(gallery size) rows
-    in two reused buffers, so no dense fused table is built."""
+    """metrics_from_rankings(ensemble(tables, weights, fusion), relevance,
+    ks), fused and ranked in equal query blocks of at most _block_rows(gallery
+    size) rows in two reused buffers, so no dense fused table is built."""
     qids, gids, fill = _fuser(tables, weights, fusion)
     qrow, rcol = _relevant_pairs(qids, gids, relevance, ks)
     nq = len(qids)
@@ -713,8 +711,9 @@ def fused_metrics(tables: list[ScoreTable], relevance: dict[str, set[str]], ks: 
 
 def evaluate(queries: EmbeddingSet, gallery: EmbeddingSet,
              relevance: dict[str, set[str]], ks: list[int]) -> list[tuple[str, str, float]]:
-    """table_metrics(score_table(gallery, queries), relevance, ks), scored in
-    equal query blocks into one reused buffer; only the ranks are kept."""
+    """metrics_from_rankings(top_k(gallery, queries, len(gallery.ids)),
+    relevance, ks), scored in equal query blocks into one reused buffer;
+    only the ranks are kept."""
     if gallery.dim != queries.dim:
         raise DimMismatch(f"gallery dim {gallery.dim} != query dim {queries.dim}")
     gids, gmat = _id_ordered(gallery)

@@ -721,6 +721,49 @@ class TestUsageAndExitCodes:
         assert capsys.readouterr().err == f"io error: {reason}: {target.format(**names)}\n"
         assert os.listdir(tmp_path) == []  # a file the check created is gone again
 
+    @pytest.mark.parametrize("command", ["embed", "gen-labels"])
+    def test_unusable_out_reported_before_a_corrupt_input(self, pipeline, tmp_path, capsys,
+                                                          command):
+        # the checkpoint or manifest is unreadable too, so the io error shows
+        # that --out was checked before the input was read
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\x00corrupt\xff\n")
+        argv = {
+            "embed": ["embed", "--checkpoint", str(bad),
+                      "--features", os.path.join(pipeline["data"], "features.bin")],
+            "gen-labels": ["gen-labels", "--manifest", str(bad), "--bins", "8"],
+        }[command]
+        out = tmp_path / "missing" / "out"
+        assert main(argv + ["--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"io error: No such file or directory: {out}\n"
+        assert sorted(os.listdir(tmp_path)) == ["bad"]
+
+    @pytest.mark.parametrize("command,writer", [
+        ("embed", "skyalign.binio.write_embeddings"),
+        ("gen-labels", "skyalign.cli.write_labels"),
+    ])
+    def test_failed_write_leaves_no_file(self, pipeline, tmp_path, capsys, monkeypatch,
+                                         command, writer):
+        # the writer writes the whole file, then fails as a full disk would
+        module, name = writer.rsplit(".", 1)
+        write = getattr(sys.modules[module], name)
+
+        def write_then_fail(*args):
+            write(*args)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(out))
+
+        monkeypatch.setattr(writer, write_then_fail)
+        argv = {
+            "embed": ["embed", "--checkpoint", os.path.join(pipeline["run"], "checkpoint.ckpt"),
+                      "--features", os.path.join(pipeline["data"], "features.bin")],
+            "gen-labels": ["gen-labels", "--manifest",
+                           os.path.join(pipeline["data"], "manifest.csv"), "--bins", "8"],
+        }[command]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"io error: No space left on device: {out}\n"
+        assert os.listdir(tmp_path) == []
+
 
 class TestGenData:
     def test_same_seed_byte_identical(self, tmp_path):

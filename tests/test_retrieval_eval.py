@@ -43,7 +43,6 @@ from skyalign.retrieval_eval import (
     read_relevance,
     recall_at_k,
     score_table,
-    table_metrics,
     top_k,
     truncate_dim,
     write_metrics,
@@ -990,7 +989,7 @@ class TestRelevanceAndMetricsIO:
 
 
 class TestRankOfRelevantMetrics:
-    """table_metrics and evaluate must give exactly the rows of
+    """evaluate and fused_metrics must give exactly the rows of
     metrics_from_rankings over full rankings.  A coarse dyadic grid (values
     in {-2..2}/64, dim <= 4) makes tied scores common, including ties that
     straddle relevant and non-relevant items."""
@@ -1034,7 +1033,7 @@ class TestRankOfRelevantMetrics:
             t2 = ScoreTable(t2.query_ids, t2.gallery_ids[::-1], t2.scores[:, ::-1])
             tables, weights = [t1, t2], [0.75, 0.25]
             rows = metrics_from_rankings(ensemble(tables, weights, fusion), rel, self.KS)
-            assert table_metrics(fuse(tables, weights, fusion), rel, self.KS) == rows
+            assert dense_table_metrics(fuse(tables, weights, fusion), rel, self.KS) == rows
             assert fused_metrics(tables, rel, self.KS, weights, fusion) == rows
 
     def test_unknown_query_rejected(self):
@@ -1060,8 +1059,8 @@ class TestRankOfRelevantMetrics:
 
 class TestStreamingEvaluate:
     """evaluate scores equal query blocks into one buffer and keeps only the
-    ranks; it must give exactly the rows of the dense-table path, of
-    table_metrics(score_table(...)) and of metrics_from_rankings(top_k(...)).
+    ranks; it must give exactly the rows of the dense-table path and of
+    metrics_from_rankings(top_k(...)).
     The coarse dyadic grid makes ties common and every summation order exact,
     so any block layout gives the same bits."""
 
@@ -1078,8 +1077,8 @@ class TestStreamingEvaluate:
                for q in queries.ids}
         return gallery, queries, rel
 
-    # (DEFAULT_QUERY_BLOCK, _BLOCK_VALUES): one row a block and one pair a
-    # gather; uneven 2- and 3-row blocks; blocks sized by the gallery term
+    # (DEFAULT_QUERY_BLOCK, _BLOCK_VALUES): one row a block; uneven 2- and
+    # 3-row blocks; blocks sized by the gallery term
     @pytest.mark.parametrize("query_block,block_values", [(1, 1), (3, 1), (2, 7), (1, 100),
                                                           (4, 90), (256, 1 << 20)])
     def test_equals_dense_path_over_block_layouts(self, monkeypatch, query_block,
@@ -1104,7 +1103,6 @@ class TestStreamingEvaluate:
             assert max(blocks) - min(blocks) <= 1
             several += len(blocks) > 1
             assert rows == dense_evaluate(queries, gallery, rel, self.KS)
-            assert rows == table_metrics(score_table(gallery, queries), rel, self.KS)
             full = top_k(gallery, queries, len(gallery.ids))
             assert rows == metrics_from_rankings(full, rel, self.KS)
             self.check_fused_blocks(monkeypatch, gallery, queries, rel)
@@ -1112,7 +1110,7 @@ class TestStreamingEvaluate:
 
     def check_fused_blocks(self, monkeypatch, gallery, queries, rel):
         """fused_metrics ranks equal blocks of at most _block_rows rows and
-        gives the rows of table_metrics over the dense fused table."""
+        gives the rows of the dense-table path over the dense fused table."""
         t1 = score_table(gallery, queries)
         t2 = score_table(EmbeddingSet(gallery.ids, gallery.matrix[::-1].copy()), queries)
         t2 = ScoreTable(t2.query_ids[::-1], t2.gallery_ids[::-1], t2.scores[::-1, ::-1])
@@ -1131,14 +1129,15 @@ class TestStreamingEvaluate:
             assert sum(blocks) == len(queries.ids)
             assert max(blocks) - min(blocks) <= 1
             assert max(blocks) <= retrieval_eval._block_rows(len(gallery.ids))
-            assert rows == table_metrics(fuse([t1, t2], [0.75, 0.25], fusion), rel, self.KS)
+            assert rows == dense_table_metrics(fuse([t1, t2], [0.75, 0.25], fusion), rel,
+                                               self.KS)
 
     def test_equals_dense_product_on_random_float32(self, monkeypatch):
         # The module docstring's equal-blocks rationale: blocks of two or more
         # rows give the dense product's bits on real float32 data, so eval
-        # prints the same metrics as table_metrics of the dumped table.  With
-        # the default constants 3 000 queries x 1 000 gallery items split into
-        # three 1 000-row blocks.
+        # prints the same metrics as the dense-table path of the dumped table.
+        # With the default constants 3 000 queries x 1 000 gallery items split
+        # into three 1 000-row blocks.
         blocks = []
         matmul = np.matmul
 
@@ -1159,16 +1158,17 @@ class TestStreamingEvaluate:
         assert [len(b) for b in blocks] == [1_000] * 3
         dense = score_table(gallery, queries)
         assert np.vstack(blocks).tobytes() == dense.scores.tobytes()
-        assert rows == table_metrics(dense, rel, self.KS)
+        assert rows == dense_table_metrics(dense, rel, self.KS)
 
-    def test_table_metrics_equals_dense_path_on_float64_tables(self):
+    def test_fused_metrics_equals_dense_path_on_float64_tables(self):
+        # one table fuses to itself exactly (score-mean weight 1.0)
         rng = np.random.default_rng(22)
         for _ in range(40):
             gallery, queries, rel = self.random_case(rng)
             tab = score_table(gallery, queries)
             tab = ScoreTable(tab.query_ids, tab.gallery_ids,
                              np.round(rng.standard_normal(tab.scores.shape), 1))
-            assert table_metrics(tab, rel, self.KS) == dense_table_metrics(tab, rel, self.KS)
+            assert fused_metrics([tab], rel, self.KS) == dense_table_metrics(tab, rel, self.KS)
 
     def test_peak_memory_is_a_fraction_of_the_dense_table(self):
         # 2 000 x 20 000 float32 scores would take 160 MB
@@ -1230,10 +1230,11 @@ class TestStreamingEvaluate:
 
 
 class TestSortedRowRanks:
-    """_count_ranks sorts each score row once when its pairs average
-    _SORT_FROM or more a row, and compares gathered rows otherwise.  Both
-    must give the per-pair compare path's ranks (oracles.compare_count_ranks)
-    exactly, on tie-heavy rows with -0.0 beside 0.0, and with NaN and inf."""
+    """_count_ranks compares a block in place when each of its rows holds
+    exactly one pair, and sorts each row of any other block.  Both paths,
+    reached by the pairs' shape, must give the per-pair compare path's ranks
+    (oracles.compare_count_ranks) exactly, on tie-heavy rows with -0.0
+    beside 0.0, and with NaN and inf."""
 
     @staticmethod
     def scores(rng, n_rows, g, dtype, odd=False):
@@ -1257,33 +1258,115 @@ class TestSortedRowRanks:
         compare_count_ranks(scores, qrow, rcol, want)
         assert np.array_equal(got, want)
 
-    # None keeps _SORT_FROM; 1 sorts every call, 10**9 never sorts
-    @pytest.mark.parametrize("sort_from", [None, 1, 10**9])
-    @pytest.mark.parametrize("block_values", [7, 1 << 20])
+    @pytest.fixture
+    def sorted_blocks(self, monkeypatch):
+        """The row counts of the blocks _count_ranks sends to _sorted_ranks."""
+        blocks = []
+        sorted_ranks = retrieval_eval._sorted_ranks
+
+        def spy(scores, *args):
+            blocks.append(len(scores))
+            return sorted_ranks(scores, *args)
+
+        monkeypatch.setattr(retrieval_eval, "_sorted_ranks", spy)
+        return blocks
+
+    # 7 scores: one row a chunk or sorted copy; 150: 2 rows at 60 columns
+    @pytest.mark.parametrize("sort_values", [7, 150, 1 << 18])
     @pytest.mark.parametrize("r", [1, 2, 3, 5, 10, 54])
-    def test_equal_relevant_counts(self, monkeypatch, sort_from, block_values, r):
-        if sort_from is not None:
-            monkeypatch.setattr(retrieval_eval, "_SORT_FROM", sort_from)
-        monkeypatch.setattr(retrieval_eval, "_BLOCK_VALUES", block_values)
+    @pytest.mark.parametrize("rows_left_out", [False, True], ids=["every-row", "rows-left-out"])
+    def test_equal_relevant_counts(self, monkeypatch, sorted_blocks, sort_values, r,
+                                   rows_left_out):
+        # only one pair on every row is compared in place
+        monkeypatch.setattr(retrieval_eval, "_SORT_VALUES", sort_values)
         rng = np.random.default_rng(r)
         for dtype, g, odd in [(np.float32, 60, False), (np.float64, 60, True),
                               (np.float32, 700, True)]:
             n_rows = 9
-            rows = np.sort(rng.choice(2 * n_rows, n_rows, replace=False))  # rows left out too
+            rows = np.arange(2 * n_rows)
+            if rows_left_out:
+                rows = np.sort(rng.choice(2 * n_rows, n_rows, replace=False))
             scores = self.scores(rng, 2 * n_rows, g, dtype, odd)
-            self.check(scores, *self.pairs(rng, rows, g, [min(r, g)] * n_rows))
+            sorted_blocks.clear()
+            self.check(scores, *self.pairs(rng, rows, g, [min(r, g)] * len(rows)))
+            assert sorted_blocks == ([] if r == 1 and not rows_left_out else [2 * n_rows])
 
-    @pytest.mark.parametrize("sort_from", [None, 1, 10**9])
-    def test_mixed_relevant_counts_in_one_call(self, monkeypatch, sort_from):
-        if sort_from is not None:
-            monkeypatch.setattr(retrieval_eval, "_SORT_FROM", sort_from)
+    @pytest.mark.parametrize("sort_values", [7, 150, 1 << 18])
+    def test_mixed_relevant_counts_in_one_call(self, monkeypatch, sorted_blocks, sort_values):
+        monkeypatch.setattr(retrieval_eval, "_SORT_VALUES", sort_values)
         rng = np.random.default_rng(31)
         for _ in range(40):
             n_rows, g = int(rng.integers(1, 12)), int(rng.integers(1, 80))
             counts = np.minimum(rng.choice([1, 1, 2, 3, 5, 10, 54], n_rows), g)
             scores = self.scores(rng, n_rows, g, rng.choice([np.float32, np.float64]),
                                  bool(rng.integers(2)))
+            sorted_blocks.clear()
             self.check(scores, *self.pairs(rng, np.arange(n_rows), g, counts))
+            assert sorted_blocks == ([] if (counts == 1).all() else [n_rows])
+
+    @pytest.mark.parametrize("sort_values", [7, 1 << 18])
+    def test_one_pair_a_row_with_odd_scores_and_ties(self, monkeypatch, sorted_blocks,
+                                                     sort_values):
+        # the pair's own score is NaN, inf, -inf, 0.0 or -0.0; then rows
+        # where every score ties with it
+        monkeypatch.setattr(retrieval_eval, "_SORT_VALUES", sort_values)
+        rng = np.random.default_rng(36)
+        for dtype in (np.float32, np.float64):
+            scores = self.scores(rng, 40, 50, dtype, odd=True)
+            rows, rcol = np.arange(40), rng.integers(0, 50, 40)
+            scores[rows[:10], rcol[:10]] = [np.nan, np.inf, -np.inf, 0.0, -0.0] * 2
+            scores[10:20] = scores[rows[10:20], rcol[10:20], None]
+            scores[15:20, ::2] = -scores[15:20, ::2]  # 0.0 beside -0.0
+            self.check(scores, rows, rcol)
+        assert sorted_blocks == []
+
+    def test_one_pair_block_peak_memory(self):
+        # scale's Drone2Sat evaluate block: 1 000 rows of 1 000 float32 scores
+        # (4 MB), one relevant item a row; a gathered copy of the rows alone
+        # would be 4 MB
+        rng = np.random.default_rng(37)
+        scores = rng.standard_normal((1_000, 1_000)).astype(np.float32)
+        qrow, rcol = np.arange(1_000), rng.integers(0, 1_000, 1_000)
+        got = np.zeros(len(qrow), dtype=np.int64)
+        tracemalloc.start()
+        try:
+            retrieval_eval._count_ranks(scores, qrow, rcol, got)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"in-place path peaked at {peak / 2**20:.2f} MiB"
+        want = np.zeros(len(qrow), dtype=np.int64)
+        compare_count_ranks(scores, qrow, rcol, want)
+        assert np.array_equal(got, want)
+
+    def test_evaluate_paths_follow_the_relevance_shape(self, monkeypatch, sorted_blocks):
+        # 30 buildings of one satellite view and ten drone views, in blocks
+        # of 30 (Drone2Sat) and 7 or 8 (Sat2Drone) queries: every Drone2Sat
+        # block is compared in place, every Sat2Drone block is sorted
+        monkeypatch.setattr(retrieval_eval, "DEFAULT_QUERY_BLOCK", 8)
+        monkeypatch.setattr(retrieval_eval, "_BLOCK_VALUES", 1_000)
+        count_ranks, blocks = retrieval_eval._count_ranks, []
+
+        def spy(scores, *args):
+            blocks.append(len(scores))
+            return count_ranks(scores, *args)
+
+        monkeypatch.setattr(retrieval_eval, "_count_ranks", spy)
+        rng = np.random.default_rng(38)
+        sats = EmbeddingSet.from_rows([f"b{b:02d}_s" for b in range(30)],
+                                      rng.standard_normal((30, 16)))
+        drones = EmbeddingSet.from_rows([f"b{b:02d}_d{d}" for b in range(30) for d in range(10)],
+                                        rng.standard_normal((300, 16)))
+        d2s = {d: {d[:3] + "_s"} for d in drones.ids}
+        s2d = {s: {d for d in drones.ids if d[:3] == s[:3]} for s in sats.ids}
+        for queries, gallery, rel, sorts in [(drones, sats, d2s, False),
+                                             (sats, drones, s2d, True)]:
+            blocks.clear()
+            sorted_blocks.clear()
+            assert evaluate(queries, gallery, rel, [1, 5]) == \
+                dense_evaluate(queries, gallery, rel, [1, 5])
+            assert len(blocks) > 1
+            assert sorted_blocks == (blocks if sorts else [])
 
     def test_evaluate_equals_dense_path_with_ten_relevant_a_query(self):
         # the Sat2Drone shape: every query has ten relevant gallery items
