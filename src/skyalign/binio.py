@@ -15,20 +15,23 @@ byte-length prefix.  Vector payloads are float32.
 FEA1 and EMB1 are read and written a table at a time: the body is read or
 written in one call, Python walks only the u16 id prefixes (each gives the
 next record's offset), and the fixed-width rest of the FEA1 records moves
-in one masked array copy.  A reader raises the FormatError that reading one
-record at a time would raise first.  Every reader checks header sizes
-against the file before it allocates, and rejects trailing bytes and
-non-finite feature and checkpoint values; an EMB1 dim must be at least 1.
+in one gather from a strided view of the body; CKP1 parameters are read in
+one call.  A reader raises the FormatError that reading one record at a
+time would raise first.  Every reader checks header sizes against the file
+before it allocates, and rejects trailing bytes and non-finite feature and
+checkpoint values; an EMB1 dim must be at least 1.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FormatError, NumericError
 
@@ -105,15 +108,6 @@ def _split_ids(buf: bytes, n: int, width: int, path):
     return ids, ends, None
 
 
-def _tail_mask(starts: np.ndarray, width: int) -> np.ndarray:
-    """Boolean mask over the bytes up to the last run's end, True on the
-    width bytes from each of the ascending starts."""
-    runs = np.empty(2 * len(starts), dtype=np.intp)
-    runs[0::2] = np.diff(starts, prepend=-width) - width  # the id records between
-    runs[1::2] = width
-    return np.repeat(np.tile([False, True], len(starts)), runs)
-
-
 def _check_magic(fh, magic: bytes, path) -> None:
     got = fh.read(4)
     if got != magic:
@@ -138,14 +132,9 @@ def write_features(path, ids, kinds, vectors, azimuths, masked) -> None:
     tails[:, 1:width - 5] = vec.view(np.uint8)
     tails[:, width - 5:width - 1] = azimuths.reshape(n, 1).view(np.uint8)
     tails[:, -1] = np.asarray(masked, dtype=bool)
-    starts = np.cumsum([len(h) for h in heads], dtype=np.intp) + width * np.arange(n)
-    tail = _tail_mask(starts, width)
-    body = np.empty(tail.size, dtype=np.uint8)
-    body[tail] = tails.ravel()
-    body[np.logical_not(tail, out=tail)] = np.frombuffer(b"".join(heads), dtype=np.uint8)
     with open(path, "wb") as fh:
         fh.write(FEA_MAGIC + struct.pack("<II", n, dim))
-        fh.write(body)
+        fh.writelines(itertools.chain.from_iterable(zip(heads, tails)))  # id, row, ...: no body copy
 
 
 def read_features(path):
@@ -177,8 +166,8 @@ def read_features(path):
     end = starts[-1] + width if n else 0
     if len(body) > end:
         raise FormatError(f"{path}: trailing bytes after {n} records")
-    rec = np.frombuffer(body, dtype=np.uint8, count=end)[_tail_mask(starts, width)]
-    rec = rec.reshape(n, width)
+    rec = (sliding_window_view(np.frombuffer(body, np.uint8, count=end), width)[starts]
+           if n else np.empty((0, width), np.uint8))  # a window cannot be longer than the body
     vectors = rec[:, 1:width - 5].copy().view("<f4")
     azimuths = rec[:, width - 5:width - 1].copy().view("<f4").ravel()
     for what, finite in (("vector", np.isfinite(vectors).all(axis=1)),
@@ -246,12 +235,13 @@ def read_checkpoint(path, shapes_of):
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
         dims = struct.unpack("<IIII", _read_exact(fh, 16, path, "dims"))
         shapes = shapes_of(dims)
-        _check_room(fh, 4 * (sum(map(math.prod, shapes)) + 1), path, f"dims {dims}")
-        arrays = []
-        for shape in shapes:
-            count = math.prod(shape)
-            raw = _read_exact(fh, 4 * count, path, f"array {shape}")
-            arrays.append(np.frombuffer(raw, dtype="<f4").reshape(shape).copy())
+        ends = list(itertools.accumulate(map(math.prod, shapes)))
+        _check_room(fh, 4 * (ends[-1] + 1), path, f"dims {dims}")
+        flat = np.empty(ends[-1], dtype="<f4")
+        if (got := fh.readinto(flat)) != flat.nbytes:  # the file shrank after _check_room
+            cut = shapes[np.searchsorted(ends, got // 4, side="right")]
+            raise FormatError(f"{path}: truncated while reading array {cut}")
+        arrays = [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
         (tau,) = struct.unpack("<f", _read_exact(fh, 4, path, "temperature"))
         if fh.read(1):
             raise FormatError(f"{path}: trailing bytes after temperature")

@@ -5,7 +5,8 @@ train, embed, evaluate, ensemble, and run the two ablation sweeps.  Exit
 codes: 0 success, 2 usage or config problem, 3 data problem, 4 numeric
 failure or out of memory.  A file that cannot be opened, read or written
 (an OSError) also exits 3, with the one line
-``io error: <strerror>: <filename>``.
+``io error: <strerror>: <filename>``, or ``io error: <strerror>`` when the
+error names no file.
 """
 
 from __future__ import annotations
@@ -176,6 +177,13 @@ def _load_query_gallery(args):
     return gallery, queries
 
 
+def _print_metrics(rows, wrote: str) -> None:
+    for metric, k, value in rows:
+        label = f"{metric}@{k}" if k else metric
+        print(f"{label} = {value:.4f}")
+    print(wrote)
+
+
 def cmd_eval(args) -> None:
     _distinct_outputs([("--out", args.out), ("--dump-scores", args.dump_scores)],
                       [("--gallery", args.gallery), ("--queries", args.queries),
@@ -186,13 +194,11 @@ def cmd_eval(args) -> None:
     dump = _checked_output(args.dump_scores) if args.dump_scores else contextlib.nullcontext()
     with _checked_output(args.out), dump:
         rows = evaluate(queries, gallery, relevance, ks)
+        table = score_table(gallery, queries) if args.dump_scores else None  # before any write
         write_metrics(rows, args.out)
-        if args.dump_scores:
-            score_table(gallery, queries).save(args.dump_scores)
-    for metric, k, value in rows:
-        label = f"{metric}@{k}" if k else metric
-        print(f"{label} = {value:.4f}")
-    print(f"wrote metrics to {args.out}")
+        if table is not None:
+            table.save(args.dump_scores)
+    _print_metrics(rows, f"wrote metrics to {args.out}")
 
 
 def cmd_ensemble(args) -> None:
@@ -213,10 +219,7 @@ def cmd_ensemble(args) -> None:
         relevance = read_relevance(args.relevance)
         rows = fused_metrics(tables, relevance, ks, weights, args.fusion)
         write_metrics(rows, args.out)
-    for metric, k, value in rows:
-        label = f"{metric}@{k}" if k else metric
-        print(f"{label} = {value:.4f}")
-    print(f"wrote fused metrics to {args.out}")
+    _print_metrics(rows, f"wrote fused metrics to {args.out}")
 
 
 @contextlib.contextmanager
@@ -397,7 +400,8 @@ def main(argv=None) -> int:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:
-        print(f"io error: {exc.strerror or exc}: {exc.filename}", file=sys.stderr)
+        where = "" if exc.filename is None else f": {exc.filename}"
+        print(f"io error: {exc.strerror or exc}{where}", file=sys.stderr)
         return 3
     except MemoryError as exc:
         print(f"memory error: {exc}", file=sys.stderr)

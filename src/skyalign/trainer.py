@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import BatchSampler, CrossViewDataset, apply_aligned_rotation
-from .errors import ConfigError, NonFiniteLoss, write_csv
+from .errors import ConfigError, DataError, NonFiniteLoss, open_text, write_csv
 from .model import ModelParams, forward_backward, init
 from .objectives import MODE_REGRESSION, LossConfig
 from .pose_geometry import LabelConfig
@@ -166,13 +166,21 @@ def write_train_log(rows: list[TrainLogRow], path) -> None:
 
 
 def read_train_log(path) -> list[TrainLogRow]:
+    """Read a train log CSV; DataError, naming file and line, on any bad record."""
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != TRAIN_LOG_HEADER:
-            raise ValueError(f"{path}: bad train log header {header!r}")
+            raise DataError(f"{path}:{reader.line_num}: bad train log header {header!r}")
         for rec in reader:
-            rows.append(TrainLogRow(int(rec[0]), float(rec[1]), float(rec[2]),
-                                    float(rec[3]), float(rec[4])))
+            if len(rec) != 5:
+                raise DataError(f"{path}:{reader.line_num}: expected 5 fields")
+            try:
+                step, values = int(rec[0]), [float(v) for v in rec[1:]]
+            except ValueError:
+                raise DataError(f"{path}:{reader.line_num}: field is not a number") from None
+            if not all(map(math.isfinite, values)):
+                raise DataError(f"{path}:{reader.line_num}: value is not finite")
+            rows.append(TrainLogRow(step, *values))
     return rows

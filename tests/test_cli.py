@@ -159,12 +159,14 @@ def test_benchmark_tracer_resolves_every_target():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     code = ("import sys; sys.path[:0] = sys.argv[1:]; import skyalign.cli; "
             "import skyalign.retrieval_eval; import tracing; "
-            "print(tracing.install(tracing.Tracer()))")
+            "sky = {n: sys.modules['skyalign.' + n] for n in tracing.MODULES}; "
+            "print(len(tracing._targets(sky)), tracing.install(tracing.Tracer()))")
     proc = subprocess.run([sys.executable, "-c", code, os.path.join(root, "src"),
                            os.path.join(root, "perfbench")],
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert int(proc.stdout) >= 1
+    targets, bindings = map(int, proc.stdout.split())
+    assert bindings >= targets >= 1  # each target rebinds at least where it is defined
 
 
 def _load_module(monkeypatch, name, path):
@@ -763,6 +765,41 @@ class TestUsageAndExitCodes:
         assert main(argv + ["--out", str(out)]) == 3
         assert capsys.readouterr().err == f"io error: No space left on device: {out}\n"
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["gen-labels", "eval"])
+    def test_full_disk_error_names_no_file(self, pipeline, tmp_path, capsys, command):
+        # a write to /dev/full fails with ENOSPC and no file name
+        data = pipeline["data"]
+        argv = {
+            "gen-labels": ["gen-labels", "--manifest", os.path.join(data, "manifest.csv"),
+                           "--bins", "8", "--out", "/dev/full"],
+            "eval": ["eval", "--gallery", pipeline["emb"]["sat"],
+                     "--queries", pipeline["emb"]["drone"],
+                     "--relevance", os.path.join(data, "relevance_drone2sat.csv"),
+                     "--out", str(tmp_path / "m.csv"), "--dump-scores", "/dev/full"],
+        }[command]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "io error: No space left on device\n"
+
+    def test_eval_score_table_failure_leaves_out_as_it_was(self, pipeline, tmp_path, capsys,
+                                                          monkeypatch):
+        # the dump's table is built before --out is written, so a table that
+        # does not fit leaves an earlier --out untouched
+        def out_of_memory(*args):
+            raise MemoryError("no room for the score table")
+
+        monkeypatch.setattr("skyalign.cli.score_table", out_of_memory)
+        out = tmp_path / "m.csv"
+        out.write_bytes(b"earlier metrics\r\n")
+        data = pipeline["data"]
+        assert main(["eval", "--gallery", pipeline["emb"]["sat"],
+                     "--queries", pipeline["emb"]["drone"],
+                     "--relevance", os.path.join(data, "relevance_drone2sat.csv"),
+                     "--out", str(out), "--dump-scores", str(tmp_path / "s.csv")]) == 4
+        assert capsys.readouterr().err == "memory error: no room for the score table\n"
+        assert out.read_bytes() == b"earlier metrics\r\n"
+        assert os.listdir(tmp_path) == ["m.csv"]
 
 
 class TestGenData:

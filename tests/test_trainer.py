@@ -16,10 +16,11 @@ from oracles import (
     field_forward_backward,
 )
 from skyalign.dataset import CrossViewDataset, GenConfig, generate
-from skyalign.errors import NonFiniteLoss
+from skyalign.errors import DataError, NonFiniteLoss
 from skyalign.model import ModelParams, forward_backward, init, load_checkpoint, save_checkpoint
 from skyalign.objectives import LossConfig
 from skyalign.trainer import (
+    TRAIN_LOG_HEADER,
     OptimizerState,
     TrainConfig,
     TrainLogRow,
@@ -361,5 +362,20 @@ class TestTrainLogIO:
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "log.csv"
         path.write_text("step,lr\n0,0.1\n", encoding="utf-8")
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="log.csv:1: bad train log header"):
+            read_train_log(path)
+
+    @pytest.mark.parametrize("row,match", [
+        (b"0,0.1,5.0,5.0", "log.csv:2: expected 5 fields"),
+        (b"0,0.1,5.0,5.0,0.1,7", "log.csv:2: expected 5 fields"),
+        (b"0,0.1,5.0,\xff,0.1", "log.csv: not UTF-8 text"),
+        (b"0,0.1,five,5.0,0.1", "log.csv:2: field is not a number"),
+        (b"0.5,0.1,5.0,5.0,0.1", "log.csv:2: field is not a number"),
+        (b"0,0.1,nan,5.0,0.1", "log.csv:2: value is not finite"),
+        (b"0,0.1,5.0,5.0,-inf", "log.csv:2: value is not finite"),
+    ], ids=["short", "long", "not-utf8", "not-a-number", "fractional-step", "nan", "inf"])
+    def test_bad_row_rejected(self, tmp_path, row, match):
+        path = tmp_path / "log.csv"
+        path.write_bytes(",".join(TRAIN_LOG_HEADER).encode() + b"\r\n" + row + b"\r\n")
+        with pytest.raises(DataError, match=match):
             read_train_log(path)
